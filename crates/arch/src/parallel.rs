@@ -1,30 +1,19 @@
 //! Intra-job parallelism configuration.
 //!
 //! A single cold synthesis job can spread its work over several cores while
-//! staying **bit-identical to the sequential result**: every parallel section
-//! of the synthesizer evaluates candidates that are pure functions of a
-//! frozen snapshot of the router/placement state, and the winner is always
-//! reduced by candidate *index* (never by completion order). Running with
-//! one thread, eight threads, or eight threads on one core therefore
-//! produces the same chip, the same stage counters and the same report —
-//! parallelism is an execution policy, not part of a job's identity. (The
-//! job service exploits exactly that: `parallelism` is stripped from the
-//! content key of a submission, so a result computed with 8 threads answers
-//! a later 1-thread submission of the same problem.)
+//! staying **bit-identical to the sequential result**. The one parallel
+//! section is the **multi-start placement annealer**: K independent
+//! refinement starts, each with its own RNG stream split from the seed
+//! ([`split_seed`]; start 0 uses the seed unchanged, so K = 1 reproduces
+//! the original stream exactly), winner chosen by `(cost, start index)` —
+//! never by completion order. Routing is sequential.
 //!
-//! The three parallel sections are
-//!
-//! * the **multi-start placement annealer** — K independent refinement
-//!   starts, each with its own RNG stream split from the seed
-//!   ([`split_seed`]; start 0 uses the seed unchanged, so K = 1 reproduces
-//!   the original stream exactly), winner chosen by `(cost, start index)`;
-//! * the router's **window scoring** — candidate occupation windows of a
-//!   transport task are priced concurrently against an immutable calendar
-//!   snapshot, and the earliest feasible window (by candidate order)
-//!   commits;
-//! * the router's **store-candidate scoring** — cache-segment pricing and
-//!   claim probing for a store task are batched over the worker set, again
-//!   reduced by candidate order.
+//! Running with one thread, eight threads, or eight threads on one core
+//! therefore produces the same chip, the same stage counters and the same
+//! report — parallelism is an execution policy, not part of a job's
+//! identity. (The job service exploits exactly that: `parallelism` is
+//! stripped from the content key of a submission, so a result computed with
+//! 8 threads answers a later 1-thread submission of the same problem.)
 
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +27,7 @@ use serde::{Deserialize, Serialize};
 pub struct Parallelism {
     /// Worker threads for one synthesis job. `0` means "all available
     /// cores" ([`std::thread::available_parallelism`]); `1` (the default)
-    /// runs the classic sequential path with no pool at all.
+    /// refines every placement start on the calling thread.
     pub threads: usize,
 }
 

@@ -20,23 +20,14 @@
 //!    on the congested port resources) instead of probing arithmetic guesses,
 //!    so a feasible window is found even when the contention pattern is
 //!    irregular.
-//! 2. **Scoring** — an indexed Dijkstra over the grid (dense scratch arrays
-//!    reused across searches) that respects the reservation calendars for
-//!    the chosen window; store tasks additionally select a cache segment
+//! 2. **Path search** — an indexed Dijkstra over the grid (dense scratch
+//!    arrays reused across searches) that respects the reservation calendars
+//!    for the chosen window; store tasks additionally select a cache segment
 //!    through the distance-sorted [`SegmentIndex`](crate::segment_index).
-//!    Scoring is **pure**: it reads a frozen snapshot of the reservation
-//!    state and never mutates it, which is what lets
-//!    [`Router::route_all`] fan candidate windows and cache-segment claims
-//!    over a scoped worker pool while staying bit-identical to the
-//!    sequential router — the winner is always the first feasible candidate
-//!    *by candidate order*, never by completion order, and the stage
-//!    counters only ever record work the sequential router would also have
-//!    done (speculatively scored candidates past the winner are discarded,
-//!    counters included).
+//!    Candidates are tried one at a time in candidate order and the first
+//!    feasible one wins. The search only reads the routing state.
 //! 3. **Commit** — the found path reserves its edges and switch nodes in the
-//!    calendars and the task is recorded. Commits always happen on the
-//!    driver thread, in task order: commit order, not scoring order, defines
-//!    the result.
+//!    calendars and the task is recorded, in task order.
 //!
 //! Each stage counts its work in [`RouterStats`], surfaced through
 //! `SynthesisReport` so regressions in window rejection rates or search
@@ -47,7 +38,7 @@
 //! The hot loops run on dense, index-addressed tables — a bitset for the
 //! used-edge set, per-edge slots for the active caches, per-sample slots for
 //! the cache assignment — and on scratch buffers (window builder, Dijkstra
-//! arrays, price blocks) that are reused across all tasks of a run. The
+//! arrays, claim-region flood) that are reused across all tasks of a run. The
 //! steady-state allocation rate per routed task is pinned by the
 //! `alloc_discipline` integration test.
 //!
@@ -57,10 +48,8 @@
 //! router staggers the transport inside its slack instead of failing.
 
 use std::collections::{BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -173,26 +162,6 @@ pub struct RouterStats {
     /// Store-claim candidates pruned by the oracle's producer-region flood
     /// before any probe was paid for them.
     pub oracle_pruned_candidates: usize,
-}
-
-/// Search-effort counters of one pure scoring step. Accumulated into
-/// [`RouterStats`] strictly in candidate order, and only for candidates the
-/// sequential router would also have scored.
-#[derive(Debug, Clone, Copy, Default)]
-struct EvalCounters {
-    searches: usize,
-    nodes: usize,
-    rejected: usize,
-    tightened: usize,
-}
-
-impl RouterStats {
-    fn absorb(&mut self, c: EvalCounters) {
-        self.path_searches += c.searches;
-        self.nodes_expanded += c.nodes;
-        self.oracle_rejected_searches += c.rejected;
-        self.oracle_tightenings += c.tightened;
-    }
 }
 
 /// Dense bitset over grid-edge indices — the used-edge set of the chip.
@@ -349,7 +318,7 @@ impl PartialOrd for SearchEntry {
 
 /// Dense per-node scratch arrays reused across Dijkstra runs; `stamp`
 /// versioning avoids clearing them between searches and the frontier heap
-/// keeps its allocation. Every scoring thread owns one.
+/// keeps its allocation.
 #[derive(Debug, Default)]
 struct DijkstraScratch {
     dist: Vec<u64>,
@@ -360,7 +329,7 @@ struct DijkstraScratch {
     // Memo of calendar answers, keyed by (window, state generation).
     // While both are unchanged, `edge_free`/`node_free` are pure: an edge
     // is examined from both of its endpoints, a node once per incoming
-    // edge, and sibling probes of one candidate batch flood the same
+    // edge, and sibling probes of one candidate stream flood the same
     // region — caching the first answer elides most of the calendar
     // binary searches that dominate the relax loop.
     cal_epoch: u32,
@@ -454,7 +423,7 @@ impl DijkstraScratch {
     }
 }
 
-/// Reusable buffers of the window-selection stage (driver-only). The
+/// Reusable buffers of the window-selection and store stages. The
 /// original implementation allocated a `Vec`, a `HashSet` and a `BTreeSet`
 /// per task; these buffers make the stage allocation-free in steady state
 /// while reproducing the exact candidate order (linear dedup over the small
@@ -468,10 +437,6 @@ struct WindowScratch {
     seen: Vec<Seconds>,
     extras: Vec<Seconds>,
     resources: Vec<WindowResource>,
-    /// Viable-window buffer of the fetch stage.
-    viable: Vec<Interval>,
-    /// Price block of the store stage's speculative pricer.
-    prices: Vec<Option<u64>>,
     /// Producer-region flood of the store stage's claim pruning.
     region: RegionScratch,
 }
@@ -520,9 +485,8 @@ impl RegionScratch {
     }
 }
 
-/// Everything about a routing run that is frozen after [`Router::new`]:
-/// grid topology, placement-derived lookup tables and the options. Shared
-/// read-only with every scoring thread.
+/// Everything about a routing run that is fixed after [`Router::new`]:
+/// grid topology, placement-derived lookup tables and the options.
 #[derive(Debug)]
 struct RouteCtx<'a> {
     grid: &'a ConnectionGrid,
@@ -547,9 +511,8 @@ struct RouteCtx<'a> {
 }
 
 /// The mutable routing state: reservation calendars, the used-edge set and
-/// the cache bookkeeping. Commits mutate it on the driver thread; scoring
-/// reads a frozen snapshot of it (through an `RwLock` when a worker pool is
-/// active — uncontended in sequential runs).
+/// the cache bookkeeping. Only commits mutate it; the path search reads it
+/// through [`Eval`].
 #[derive(Debug)]
 struct RouteState {
     reservations: ReservationTable,
@@ -567,11 +530,11 @@ struct RouteState {
     /// Pool members in the order they joined (drives the incremental
     /// per-pair pooled candidate lists).
     pool_log: Vec<GridEdgeId>,
-    /// Bumped on every mutable acquisition of the state lock. Keys the
+    /// Bumped on every commit (and on [`Router::reservations`]). Keys the
     /// per-(window, state) calendar memo in [`DijkstraScratch`]: a memo
     /// entry is only reused while the generation it was recorded under is
-    /// still current, so probes against a frozen snapshot share answers and
-    /// any commit invalidates them wholesale.
+    /// still current, so probes between two commits share answers and any
+    /// commit invalidates them wholesale.
     generation: u64,
 }
 
@@ -596,10 +559,9 @@ enum WindowResource {
     Node(NodeId),
 }
 
-/// A pure, read-only scoring view over the frozen context and a snapshot of
-/// the mutable state. Every method is a function of its arguments and the
-/// snapshot — no interior mutation, no completion-order dependence — which
-/// is the invariant the parallel scoring pool rests on.
+/// A read-only view of the context and the routing state for the window
+/// and path-search stages. Its methods never change the state; they only
+/// write into the scratch buffers and work counters they are handed.
 #[derive(Clone, Copy)]
 struct Eval<'e, 'a> {
     ctx: &'e RouteCtx<'a>,
@@ -946,7 +908,7 @@ impl<'e, 'a> Eval<'e, 'a> {
         edge: GridEdgeId,
         horizon: &StoreHorizon,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        stats: &mut RouterStats,
     ) -> Option<(RoutedPath, NodeId)> {
         let store_window = horizon.store_window;
         let (x, y) = self.ctx.grid.endpoints(edge);
@@ -967,7 +929,7 @@ impl<'e, 'a> Eval<'e, 'a> {
                 continue;
             }
             let Some(mut path) =
-                self.shortest_path(from, entry, store_window, Some(edge), scratch, counters)
+                self.shortest_path(from, entry, store_window, Some(edge), scratch, stats)
             else {
                 continue;
             };
@@ -991,11 +953,11 @@ impl<'e, 'a> Eval<'e, 'a> {
         second: NodeId,
         window: Interval,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        stats: &mut RouterStats,
     ) -> Option<RoutedPath> {
         for leave in [first, second] {
             let Some(path) =
-                self.shortest_path(leave, to, window, Some(cache_edge), scratch, counters)
+                self.shortest_path(leave, to, window, Some(cache_edge), scratch, stats)
             else {
                 continue;
             };
@@ -1026,9 +988,9 @@ impl<'e, 'a> Eval<'e, 'a> {
         window: Interval,
         skip_edge: Option<GridEdgeId>,
         scratch: &mut DijkstraScratch,
-        counters: &mut EvalCounters,
+        stats: &mut RouterStats,
     ) -> Option<RoutedPath> {
-        counters.searches += 1;
+        stats.path_searches += 1;
         if from == to {
             return Some(RoutedPath {
                 nodes: vec![from],
@@ -1054,7 +1016,7 @@ impl<'e, 'a> Eval<'e, 'a> {
         // guaranteed miss: rejecting it here skips the exhaustive failed
         // flood without touching any search that can succeed.
         if self.ctx.assists && self.destination_unenterable(from, to, window, skip_edge, scratch) {
-            counters.rejected += 1;
+            stats.oracle_rejected_searches += 1;
             return None;
         }
 
@@ -1106,7 +1068,7 @@ impl<'e, 'a> Eval<'e, 'a> {
             dist: cost,
         }) = scratch.heap.pop()
         {
-            counters.nodes += 1;
+            stats.nodes_expanded += 1;
             if node == to {
                 reached = true;
                 break;
@@ -1125,7 +1087,7 @@ impl<'e, 'a> Eval<'e, 'a> {
                 }
                 if let Some(target) = &target {
                     if next != to && !self.ctx.oracle.reaches(next, target) {
-                        counters.tightened += 1;
+                        stats.oracle_tightenings += 1;
                         continue;
                     }
                 }
@@ -1226,15 +1188,13 @@ impl<'e, 'a> Eval<'e, 'a> {
     /// one store window, under exactly the admission rules of
     /// [`shortest_path`](Eval::shortest_path) (minus any `skip_edge`, which
     /// makes the region a superset for every per-candidate skip — sound for
-    /// rejection). Runs unconditionally before a window's claim stream so
-    /// the pruning decision is a pure function of the frozen snapshot,
-    /// identical at any thread count; a lazily-triggered flood would not
-    /// be, because parallel claim batches form before failures are seen.
+    /// rejection). Runs once before a window's claim streams, so both
+    /// candidate phases prune against the same region.
     ///
     /// `region.complete` is only set when the frontier drained within the
     /// pop budget; otherwise the region is partial and pruning stays off.
-    /// The flood touches no [`EvalCounters`] — it is oracle bookkeeping,
-    /// not search work the sequential router would have done.
+    /// The flood touches no [`RouterStats`] — it is oracle bookkeeping,
+    /// not path-search work.
     fn flood_claim_region(
         &self,
         from: NodeId,
@@ -1275,423 +1235,11 @@ impl<'e, 'a> Eval<'e, 'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The scoped scoring pool
-// ---------------------------------------------------------------------------
-
-fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn read_state(state: &RwLock<RouteState>) -> RwLockReadGuard<'_, RouteState> {
-    state
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn write_state(state: &RwLock<RouteState>) -> RwLockWriteGuard<'_, RouteState> {
-    let mut guard = state
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    guard.generation += 1;
-    guard
-}
-
-/// One batch of pure scoring work, fanned over the pool. All payloads are
-/// plain copies — workers never chase driver-owned pointers.
-#[derive(Debug)]
-enum JobKind {
-    /// Price cache-segment candidates for one store horizon.
-    Price {
-        horizon: StoreHorizon,
-        to_node: NodeId,
-        edges: Vec<GridEdgeId>,
-    },
-    /// Probe store claims (approach path into each candidate segment).
-    Claim {
-        from: NodeId,
-        horizon: StoreHorizon,
-        edges: Vec<GridEdgeId>,
-    },
-    /// Score candidate windows of a direct transport.
-    Direct {
-        from: NodeId,
-        to: NodeId,
-        windows: Vec<Interval>,
-    },
-    /// Score candidate windows of a fetch transport.
-    Fetch {
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        first: NodeId,
-        second: NodeId,
-        windows: Vec<Interval>,
-    },
-}
-
-impl JobKind {
-    fn len(&self) -> usize {
-        match self {
-            JobKind::Price { edges, .. } | JobKind::Claim { edges, .. } => edges.len(),
-            JobKind::Direct { windows, .. } | JobKind::Fetch { windows, .. } => windows.len(),
-        }
-    }
-
-    /// Items one cursor grab hands a worker: pricing items are tiny, so
-    /// they are taken sixteen at a time; claims and window searches run one
-    /// Dijkstra each and are grabbed singly.
-    fn chunk(&self) -> usize {
-        match self {
-            JobKind::Price { .. } => 16,
-            _ => 1,
-        }
-    }
-}
-
-/// The outcome of one scored item.
-#[derive(Debug)]
-enum ItemOut {
-    Price(Option<u64>),
-    Claim(EvalCounters, Option<(RoutedPath, NodeId)>),
-    Window(EvalCounters, Option<RoutedPath>),
-}
-
-fn compute_item(
-    eval: &Eval<'_, '_>,
-    kind: &JobKind,
-    i: usize,
-    scratch: &mut DijkstraScratch,
-) -> ItemOut {
-    match kind {
-        JobKind::Price {
-            horizon,
-            to_node,
-            edges,
-        } => ItemOut::Price(eval.price_segment(edges[i], horizon, *to_node)),
-        JobKind::Claim {
-            from,
-            horizon,
-            edges,
-        } => {
-            let mut c = EvalCounters::default();
-            let found = eval.find_cache_entry(*from, edges[i], horizon, scratch, &mut c);
-            ItemOut::Claim(c, found)
-        }
-        JobKind::Direct { from, to, windows } => {
-            let mut c = EvalCounters::default();
-            let found = eval.shortest_path(*from, *to, windows[i], None, scratch, &mut c);
-            ItemOut::Window(c, found)
-        }
-        JobKind::Fetch {
-            to,
-            cache_edge,
-            first,
-            second,
-            windows,
-        } => {
-            let mut c = EvalCounters::default();
-            let found = eval.find_fetch_path(
-                *to,
-                *cache_edge,
-                *first,
-                *second,
-                windows[i],
-                scratch,
-                &mut c,
-            );
-            ItemOut::Window(c, found)
-        }
-    }
-}
-
-/// One published batch: the work, a cursor the threads grab ranges from,
-/// per-item result slots, and a completion latch the driver waits on.
-#[derive(Debug)]
-struct ScoreJob {
-    kind: JobKind,
-    n: usize,
-    cursor: AtomicUsize,
-    done: Mutex<usize>,
-    finished: Condvar,
-    results: Vec<Mutex<Option<ItemOut>>>,
-}
-
-#[derive(Debug)]
-struct BoardSlot {
-    generation: u64,
-    job: Option<std::sync::Arc<ScoreJob>>,
-    shutdown: bool,
-}
-
-/// The job board the scoped scoring threads poll. Lives only as long as one
-/// [`Router::route_all`] call; workers borrow the frozen context and the
-/// state lock, take a read snapshot per batch and park between batches.
-#[derive(Debug)]
-struct Board<'d, 'a> {
-    ctx: &'d RouteCtx<'a>,
-    state: &'d RwLock<RouteState>,
-    slot: Mutex<BoardSlot>,
-    wake: Condvar,
-    panicked: AtomicBool,
-    threads: usize,
-}
-
-impl<'d, 'a> Board<'d, 'a> {
-    fn new(ctx: &'d RouteCtx<'a>, state: &'d RwLock<RouteState>, threads: usize) -> Self {
-        Board {
-            ctx,
-            state,
-            slot: Mutex::new(BoardSlot {
-                generation: 0,
-                job: None,
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            panicked: AtomicBool::new(false),
-            threads,
-        }
-    }
-
-    /// The worker body: wait for a batch generation, snapshot the state,
-    /// drain cursor ranges, repeat until shutdown.
-    fn worker_loop(&self) {
-        let mut scratch = DijkstraScratch::for_grid(self.ctx.grid);
-        let mut last_generation = 0u64;
-        loop {
-            let job = {
-                let mut slot = lock_ignore_poison(&self.slot);
-                loop {
-                    if slot.shutdown {
-                        return;
-                    }
-                    if slot.generation != last_generation {
-                        if let Some(job) = &slot.job {
-                            last_generation = slot.generation;
-                            break std::sync::Arc::clone(job);
-                        }
-                    }
-                    slot = self
-                        .wake
-                        .wait(slot)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            let guard = read_state(self.state);
-            let eval = Eval {
-                ctx: self.ctx,
-                state: &guard,
-            };
-            self.run_items(&job, &eval, &mut scratch);
-        }
-    }
-
-    /// Drains cursor ranges of `job`, computing items into their slots.
-    /// Shared by workers and the (participating) driver.
-    fn run_items(&self, job: &ScoreJob, eval: &Eval<'_, '_>, scratch: &mut DijkstraScratch) {
-        let chunk = job.kind.chunk();
-        loop {
-            let start = job.cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= job.n {
-                break;
-            }
-            let end = (start + chunk).min(job.n);
-            for i in start..end {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    compute_item(eval, &job.kind, i, scratch)
-                }));
-                match outcome {
-                    Ok(out) => *lock_ignore_poison(&job.results[i]) = Some(out),
-                    Err(_) => self.panicked.store(true, Ordering::Release),
-                }
-            }
-            let mut done = lock_ignore_poison(&job.done);
-            *done += end - start;
-            if *done >= job.n {
-                job.finished.notify_all();
-            }
-        }
-    }
-
-    /// Publishes a batch, participates in computing it, waits for the last
-    /// item and collects the results in item order.
-    ///
-    /// The caller supplies its own `eval` snapshot (it may already hold a
-    /// read guard); workers take their own read snapshots, which is safe
-    /// because no commit can run while the driver sits in this call.
-    fn scatter(
-        &self,
-        kind: JobKind,
-        eval: &Eval<'_, '_>,
-        scratch: &mut DijkstraScratch,
-    ) -> Vec<ItemOut> {
-        let n = kind.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let job = std::sync::Arc::new(ScoreJob {
-            kind,
-            n,
-            cursor: AtomicUsize::new(0),
-            done: Mutex::new(0),
-            finished: Condvar::new(),
-            results: (0..n).map(|_| Mutex::new(None)).collect(),
-        });
-        {
-            let mut slot = lock_ignore_poison(&self.slot);
-            slot.generation += 1;
-            slot.job = Some(std::sync::Arc::clone(&job));
-        }
-        self.wake.notify_all();
-        self.run_items(&job, eval, scratch);
-        let mut done = lock_ignore_poison(&job.done);
-        while *done < job.n {
-            if self.panicked.load(Ordering::Acquire) {
-                panic!("a router scoring worker panicked");
-            }
-            let (guard, _) = job
-                .finished
-                .wait_timeout(done, std::time::Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            done = guard;
-        }
-        drop(done);
-        if self.panicked.load(Ordering::Acquire) {
-            panic!("a router scoring worker panicked");
-        }
-        job.results
-            .iter()
-            .map(|slot| {
-                lock_ignore_poison(slot)
-                    .take()
-                    .expect("every scored item leaves a result")
-            })
-            .collect()
-    }
-}
-
-/// Ends the worker loops when the driver leaves (or unwinds out of) the
-/// routing scope.
-struct ShutdownGuard<'b, 'd, 'a>(&'b Board<'d, 'a>);
-
-impl Drop for ShutdownGuard<'_, '_, '_> {
-    fn drop(&mut self) {
-        let mut slot = lock_ignore_poison(&self.0.slot);
-        slot.shutdown = true;
-        slot.job = None;
-        drop(slot);
-        self.0.wake.notify_all();
-    }
-}
-
-/// Speculative block pricer feeding [`OrderedCandidates`].
-///
-/// The lazy merge consumes candidates strictly in static-score order and
-/// prices each exactly once; this pricer answers those queries from a block
-/// buffer that is filled ahead of the cursor — in parallel when a pool is
-/// active. Prices are pure, so speculative entries past the merge's stopping
-/// point are simply discarded; the consumed count (and with it the
-/// `segments_priced` counter) is the merge's own, identical to a sequential
-/// run.
-struct Pricer<'p> {
-    list: ScoredEdges,
-    horizon: StoreHorizon,
-    to_node: NodeId,
-    /// Block buffer (borrowed from the window scratch), aligned so that
-    /// `buf[cursor - base]` is the price of `list[cursor]`.
-    buf: &'p mut Vec<Option<u64>>,
-    base: usize,
-    cursor: usize,
-}
-
-/// List positions priced per speculative block when a pool is active.
-/// Blocks amortize the scatter handshake over many (sub-microsecond)
-/// pricings while bounding the waste past the merge's stopping point to
-/// one block per candidate stream.
-const PRICE_BLOCK: usize = 64;
-
-impl<'p> Pricer<'p> {
-    fn new(
-        list: ScoredEdges,
-        horizon: StoreHorizon,
-        to_node: NodeId,
-        buf: &'p mut Vec<Option<u64>>,
-    ) -> Self {
-        buf.clear();
-        Pricer {
-            list,
-            horizon,
-            to_node,
-            buf,
-            base: 0,
-            cursor: 0,
-        }
-    }
-
-    /// The price of the next list position, in consumption order.
-    fn next(
-        &mut self,
-        eval: &Eval<'_, '_>,
-        board: Option<&Board<'_, '_>>,
-        scratch: &mut DijkstraScratch,
-    ) -> Option<u64> {
-        debug_assert!(self.cursor < self.list.len());
-        if self.cursor >= self.base + self.buf.len() {
-            self.fill_from(self.cursor, eval, board, scratch);
-        }
-        let price = self.buf[self.cursor - self.base];
-        self.cursor += 1;
-        price
-    }
-
-    fn fill_from(
-        &mut self,
-        start: usize,
-        eval: &Eval<'_, '_>,
-        board: Option<&Board<'_, '_>>,
-        scratch: &mut DijkstraScratch,
-    ) {
-        self.base = start;
-        self.buf.clear();
-        let remaining = self.list.len() - start;
-        match board {
-            // Blocks only pay off when enough of the stream is left; short
-            // tails are priced inline like the sequential path.
-            Some(board) if remaining >= 8 && board.threads > 1 => {
-                let end = (start + PRICE_BLOCK).min(self.list.len());
-                let edges: Vec<GridEdgeId> =
-                    self.list[start..end].iter().map(|&(_, e)| e).collect();
-                for out in board.scatter(
-                    JobKind::Price {
-                        horizon: self.horizon,
-                        to_node: self.to_node,
-                        edges,
-                    },
-                    eval,
-                    scratch,
-                ) {
-                    match out {
-                        ItemOut::Price(p) => self.buf.push(p),
-                        _ => unreachable!("price batches answer price items"),
-                    }
-                }
-            }
-            _ => {
-                let (_, edge) = self.list[start];
-                self.buf
-                    .push(eval.price_segment(edge, &self.horizon, self.to_node));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The router: driver, commits, public API
 // ---------------------------------------------------------------------------
 
-/// Driver-private lazy indexes (per-pair candidate lists and their pooled
-/// subsets). Only the commit thread touches them, so they stay outside the
-/// state lock.
+/// Lazy indexes of the store stage: per-pair candidate lists and their
+/// pooled subsets, built on first use and extended as the pool grows.
 #[derive(Debug, Default)]
 struct LazyIndexes {
     segment_index: SegmentIndex,
@@ -1702,71 +1250,131 @@ struct LazyIndexes {
     pooled_by_pair: HashMap<(usize, usize), (usize, ScoredEdges)>,
 }
 
-/// Outcome of one candidate stream (pooled or fresh) for one store window.
-enum CandidateOutcome {
-    Won {
+impl RouteState {
+    /// Reserves every switch node and edge of a path for the window and
+    /// records the edges as used. Bumps the state generation, which
+    /// invalidates every calendar answer memoized in a [`DijkstraScratch`].
+    ///
+    /// Device nodes are *not* reserved: several samples may arrive at or
+    /// leave the same device in overlapping windows (for example the two
+    /// inputs of a mixing operation), entering through different channels.
+    /// Channel-level conflicts are still excluded because the edges and
+    /// switch nodes of concurrent paths may not overlap.
+    fn commit_path(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        path: &RoutedPath,
+        window: Interval,
+        deadline: Seconds,
+        stats: &mut RouterStats,
+    ) {
+        self.generation += 1;
+        for &node in &path.nodes {
+            if ctx.oracle.device_of_node[node.index()].is_some() {
+                continue;
+            }
+            self.reservations.reserve_node(node, window);
+        }
+        for &edge in &path.edges {
+            self.reservations.reserve_edge(edge, window);
+            self.used_edges.insert(edge);
+        }
+        stats.tasks_routed += 1;
+        if window.end > deadline {
+            stats.postponed_tasks += 1;
+        }
+    }
+
+    /// Commits a store: the approach path, then the cache segment `edge`
+    /// (left through `exit`) blocked for the sample's whole horizon.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_store(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        task: &TransportTask,
         edge: GridEdgeId,
         exit: NodeId,
-        path: RoutedPath,
-        /// The lazy merge's consumed count at the winner's yield — exactly
-        /// what the sequential scan would have priced.
-        consumed: usize,
-    },
-    Exhausted {
-        consumed: usize,
-    },
-}
-
-/// Reserves every switch node and edge of a path for the window and records
-/// the edges as used.
-///
-/// Device nodes are *not* reserved: several samples may arrive at or leave
-/// the same device in overlapping windows (for example the two inputs of a
-/// mixing operation), entering through different channels. Channel-level
-/// conflicts are still excluded because the edges and switch nodes of
-/// concurrent paths may not overlap.
-fn commit_path(
-    st: &mut RouteState,
-    ctx: &RouteCtx<'_>,
-    path: &RoutedPath,
-    window: Interval,
-    deadline: Seconds,
-    stats: &mut RouterStats,
-) {
-    for &node in &path.nodes {
-        if ctx.oracle.device_of_node[node.index()].is_some() {
-            continue;
+        path: &RoutedPath,
+        horizon: &StoreHorizon,
+        stats: &mut RouterStats,
+    ) {
+        self.commit_path(ctx, path, horizon.store_window, task.deadline, stats);
+        // Block the segment from the moment the sample arrives until the
+        // end of its planned fetch window — plus the allowed postponement,
+        // so a delayed fetch still owns the segment while the sample rests
+        // past the plan — so no later task can claim the segment for the
+        // very instant the sample has to leave it. The segment's end nodes
+        // stay passable for other paths (the paper's exception).
+        let reserved_until = if ctx.scale_mode {
+            horizon.planned_fetch.end + ctx.options.max_deadline_overrun
+        } else {
+            horizon.planned_fetch.end
+        };
+        self.reservations
+            .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
+        self.cache_of_sample.set(task.sample, (edge, exit));
+        if self.cache_pool.insert(edge) {
+            self.pool_log.push(edge);
         }
-        st.reservations.reserve_node(node, window);
+        self.active_caches[edge.index()] = Some(CacheInfo {
+            blocked: Interval::new(horizon.blocked.start, reserved_until),
+            reserved: Interval::new(horizon.storage.start, reserved_until),
+            fetch_window: horizon.planned_fetch,
+            reserved_until,
+        });
     }
-    for &edge in &path.edges {
-        st.reservations.reserve_edge(edge, window);
-        st.used_edges.insert(edge);
-    }
-    stats.tasks_routed += 1;
-    if window.end > deadline {
-        stats.postponed_tasks += 1;
+
+    /// Commits a fetch: the path out of `cache_edge`, which stays blocked
+    /// while the sample rests in it past the originally planned fetch time.
+    fn commit_fetch(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        task: &TransportTask,
+        path: &RoutedPath,
+        cache_edge: GridEdgeId,
+        reserved_until: Seconds,
+        stats: &mut RouterStats,
+    ) {
+        let window = path.window;
+        self.commit_path(ctx, path, window, task.deadline, stats);
+        self.reservations.reserve_edge(
+            cache_edge,
+            Interval::new(reserved_until.min(window.end), window.end),
+        );
+        self.cache_of_sample.remove(task.sample);
+        self.active_caches[cache_edge.index()] = None;
     }
 }
 
-/// The per-task routing driver. One instance serves one `route`/`route_all`
-/// call; it owns mutable borrows of the driver-side scratch and stats and —
-/// when a scoring pool is active — a handle to the job board.
+/// The error of a direct or fetch transport no candidate window admits.
+fn routing_failed(task: &TransportTask) -> ArchError {
+    ArchError::RoutingFailed {
+        from: task.from_device,
+        to: task.to_device,
+        task: task.describe(),
+    }
+}
+
+/// A task's copy carrying the window it was actually routed in.
+fn routed_in(task: &TransportTask, window: Interval) -> TransportTask {
+    let mut routed = task.clone();
+    routed.window_start = window.start;
+    routed.window_end = window.end;
+    routed
+}
+
+/// The per-task routing driver: borrows the router's state, indexes,
+/// scratch buffers and stats for one [`Router::route`] call.
 struct Driver<'d, 'a> {
     ctx: &'d RouteCtx<'a>,
-    state: &'d RwLock<RouteState>,
+    state: &'d mut RouteState,
     lazy: &'d mut LazyIndexes,
     scratch: &'d mut DijkstraScratch,
     wscratch: &'d mut WindowScratch,
     stats: &'d mut RouterStats,
-    board: Option<&'d Board<'d, 'a>>,
 }
 
 impl Driver<'_, '_> {
-    fn width(&self) -> usize {
-        self.board.map_or(1, |b| b.threads)
-    }
-
     /// Routes one task, with the per-task postponement escalation: the
     /// first attempt only considers windows inside the task's slack;
     /// overrun windows are tried when — and only when — the task cannot be
@@ -1796,14 +1404,11 @@ impl Driver<'_, '_> {
     fn collect_windows(&mut self, task: &TransportTask, allow_overrun: bool) -> Vec<Interval> {
         let _span = telemetry::span("router", "route.window_select");
         let mut out = std::mem::take(&mut self.wscratch.out);
-        {
-            let st = read_state(self.state);
-            let eval = Eval {
-                ctx: self.ctx,
-                state: &st,
-            };
-            eval.candidate_windows(task, allow_overrun, self.wscratch, &mut out);
-        }
+        let eval = Eval {
+            ctx: self.ctx,
+            state: self.state,
+        };
+        eval.candidate_windows(task, allow_overrun, self.wscratch, &mut out);
         out
     }
 
@@ -1819,123 +1424,29 @@ impl Driver<'_, '_> {
         let from = self.ctx.placement.node_of(task.from_device);
         let to = self.ctx.placement.node_of(task.to_device);
         let windows = self.collect_windows(task, allow_overrun);
-        let result = self.drive_direct_windows(task, from, to, &windows);
-        self.wscratch.out = windows;
-        result
-    }
-
-    fn drive_direct_windows(
-        &mut self,
-        task: &TransportTask,
-        from: NodeId,
-        to: NodeId,
-        windows: &[Interval],
-    ) -> Result<RoutedTransport, ArchError> {
-        let mut idx = 0;
-        while idx < windows.len() {
-            // The preferred window almost always fits, so it is scored
-            // inline exactly like the sequential router; only the congested
-            // tail fans out over the pool.
-            if idx == 0 || self.width() == 1 {
-                let (c, found) = self.score_one_direct(from, to, windows[idx]);
-                self.stats.windows_tried += 1;
-                self.stats.absorb(c);
-                if let Some(path) = found {
-                    return Ok(self.commit_direct(task, path));
-                }
-                idx += 1;
-            } else {
-                let hi = (idx + self.width()).min(windows.len());
-                let outs = self.score_direct_chunk(from, to, &windows[idx..hi]);
-                for (c, found) in outs {
-                    self.stats.windows_tried += 1;
-                    self.stats.absorb(c);
-                    if let Some(path) = found {
-                        return Ok(self.commit_direct(task, path));
-                    }
-                }
-                idx = hi;
+        let mut found = None;
+        for &window in &windows {
+            let _span = telemetry::span("router", "route.path_search");
+            self.stats.windows_tried += 1;
+            let eval = Eval {
+                ctx: self.ctx,
+                state: self.state,
+            };
+            found = eval.shortest_path(from, to, window, None, self.scratch, self.stats);
+            if found.is_some() {
+                break;
             }
         }
-        Err(ArchError::RoutingFailed {
-            from: task.from_device,
-            to: task.to_device,
-            task: task.describe(),
-        })
-    }
-
-    fn score_one_direct(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        window: Interval,
-    ) -> (EvalCounters, Option<RoutedPath>) {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        let mut c = EvalCounters::default();
-        let found = eval.shortest_path(from, to, window, None, self.scratch, &mut c);
-        (c, found)
-    }
-
-    fn score_direct_chunk(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        chunk: &[Interval],
-    ) -> Vec<(EvalCounters, Option<RoutedPath>)> {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        match self.board {
-            Some(board) if chunk.len() > 1 => board
-                .scatter(
-                    JobKind::Direct {
-                        from,
-                        to,
-                        windows: chunk.to_vec(),
-                    },
-                    &eval,
-                    self.scratch,
-                )
-                .into_iter()
-                .map(|out| match out {
-                    ItemOut::Window(c, p) => (c, p),
-                    _ => unreachable!("window batches answer window items"),
-                })
-                .collect(),
-            _ => chunk
-                .iter()
-                .map(|&window| {
-                    let mut c = EvalCounters::default();
-                    let found = eval.shortest_path(from, to, window, None, self.scratch, &mut c);
-                    (c, found)
-                })
-                .collect(),
-        }
-    }
-
-    fn commit_direct(&mut self, task: &TransportTask, path: RoutedPath) -> RoutedTransport {
+        self.wscratch.out = windows;
+        let path = found.ok_or_else(|| routing_failed(task))?;
         let _span = telemetry::span("router", "route.commit");
-        let window = path.window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(&mut st, self.ctx, &path, window, task.deadline, self.stats);
-        }
-        let mut routed_task = task.clone();
-        routed_task.window_start = window.start;
-        routed_task.window_end = window.end;
-        RoutedTransport {
-            task: routed_task,
+        self.state
+            .commit_path(self.ctx, &path, path.window, task.deadline, self.stats);
+        Ok(RoutedTransport {
+            task: routed_in(task, path.window),
             path,
             cache_edge: None,
-        }
+        })
     }
 
     // -----------------------------------------------------------------
@@ -1986,11 +1497,6 @@ impl Driver<'_, '_> {
         pair_index: &PairIndex,
         region: &mut RegionScratch,
     ) -> Result<RoutedTransport, ArchError> {
-        let min_price = self
-            .ctx
-            .options
-            .used_edge_cost
-            .min(self.ctx.options.new_edge_cost);
         let to_node = self.ctx.placement.node_of(task.to_device);
         let from_node = self.ctx.placement.node_of(task.from_device);
         for &store_window in windows {
@@ -1999,15 +1505,12 @@ impl Driver<'_, '_> {
                 // departs; postponing the store past that point is useless.
                 continue;
             }
-            {
-                let st = read_state(self.state);
-                let eval = Eval {
-                    ctx: self.ctx,
-                    state: &st,
-                };
-                if !eval.producer_can_leave(from_node, store_window) {
-                    continue;
-                }
+            let eval = Eval {
+                ctx: self.ctx,
+                state: self.state,
+            };
+            if !eval.producer_can_leave(from_node, store_window) {
+                continue;
             }
             self.stats.windows_tried += 1;
             let horizon = StoreHorizon::new(task, store_window, stored_until);
@@ -2015,69 +1518,35 @@ impl Driver<'_, '_> {
             // Oracle early-reject for this window's claim stream: map the
             // transit region the producer can actually reach (bounded
             // flood) once, shared by both candidate phases — no commit
-            // happens between them, so the snapshot is the same.
+            // happens between them, so the state is the same.
             region.complete = false;
             if self.ctx.assists {
-                let st = read_state(self.state);
-                let eval = Eval {
-                    ctx: self.ctx,
-                    state: &st,
-                };
                 eval.flood_claim_region(from_node, store_window, region, self.scratch);
             }
 
             // Phase 1 (scale grids only): reuse a pooled segment, cheapest
-            // total score first.
-            let pooled_list: ScoredEdges = if self.ctx.scale_mode {
-                self.pooled_list(task, pair_index)
-            } else {
-                Vec::new().into()
-            };
-            match self.drive_candidates(
-                from_node,
-                to_node,
-                &horizon,
-                pooled_list,
-                min_price,
-                false,
-                region,
-            ) {
-                CandidateOutcome::Won {
-                    edge,
-                    exit,
-                    path,
-                    consumed,
-                } => {
-                    self.stats.segments_priced += consumed;
-                    return Ok(self.commit_store(task, edge, exit, path, &horizon));
-                }
-                CandidateOutcome::Exhausted { consumed } => {
-                    self.stats.segments_priced += consumed;
-                }
+            // total score first. Phase 2: bring a fresh segment into the
+            // pool.
+            let mut claim = None;
+            if self.ctx.scale_mode {
+                let pooled = self.pooled_list(task, pair_index);
+                claim = self.drive_candidates(from_node, to_node, &horizon, pooled, false, region);
             }
-
-            // Phase 2: bring a fresh segment into the pool.
-            match self.drive_candidates(
-                from_node,
-                to_node,
-                &horizon,
-                Rc::clone(&pair_index.sorted),
-                min_price,
-                true,
-                region,
-            ) {
-                CandidateOutcome::Won {
-                    edge,
-                    exit,
+            if claim.is_none() {
+                let fresh = Rc::clone(&pair_index.sorted);
+                claim = self.drive_candidates(from_node, to_node, &horizon, fresh, true, region);
+            }
+            if let Some((edge, exit, path)) = claim {
+                let _span = telemetry::span("router", "route.commit");
+                self.state
+                    .commit_store(self.ctx, task, edge, exit, &path, &horizon, self.stats);
+                let mut routed_task = routed_in(task, store_window);
+                routed_task.storage_interval = Some((horizon.storage.start, horizon.storage.end));
+                return Ok(RoutedTransport {
+                    task: routed_task,
                     path,
-                    consumed,
-                } => {
-                    self.stats.segments_priced += consumed;
-                    return Ok(self.commit_store(task, edge, exit, path, &horizon));
-                }
-                CandidateOutcome::Exhausted { consumed } => {
-                    self.stats.segments_priced += consumed;
-                }
+                    cache_edge: Some(edge),
+                });
             }
         }
         Err(ArchError::NoStorageSegment {
@@ -2086,114 +1555,65 @@ impl Driver<'_, '_> {
     }
 
     /// Walks one candidate stream in exact `(static + dynamic, edge id)`
-    /// order — pricing speculatively ahead of the merge, probing claims in
-    /// pool-width batches — and returns the first claimable segment by
-    /// candidate order, with the merge's consumed count at that yield.
-    #[allow(clippy::too_many_arguments)]
+    /// order, probing the claim of each available segment in turn, and
+    /// returns the first claimable one with its exit node and approach
+    /// path. Every segment the lazy merge priced counts towards
+    /// `segments_priced`.
     fn drive_candidates(
         &mut self,
         from: NodeId,
         to_node: NodeId,
         horizon: &StoreHorizon,
         list: ScoredEdges,
-        min_price: u64,
         skip_pool: bool,
         region: &RegionScratch,
-    ) -> CandidateOutcome {
+    ) -> Option<(GridEdgeId, NodeId, RoutedPath)> {
         if list.is_empty() {
-            return CandidateOutcome::Exhausted { consumed: 0 };
+            return None;
         }
         // Store-side path search: segment pricing plus cache-entry claims.
         let _span = telemetry::span("router", "route.path_search");
-        // One claim probe per pool thread: the waste past the winner is at
-        // most one batch of speculative probes, whose counters are
-        // discarded anyway.
-        let claim_width = self.width();
         let skip_pool = skip_pool && self.ctx.scale_mode;
-        let st = read_state(self.state);
+        let min_price = self
+            .ctx
+            .options
+            .used_edge_cost
+            .min(self.ctx.options.new_edge_cost);
         let eval = Eval {
             ctx: self.ctx,
-            state: &st,
+            state: self.state,
         };
-        let mut merge = OrderedCandidates::new(Rc::clone(&list), min_price);
-        let mut pricer = Pricer::new(list, *horizon, to_node, &mut self.wscratch.prices);
-        let mut batch: Vec<(GridEdgeId, usize)> = Vec::with_capacity(claim_width);
-        loop {
-            batch.clear();
-            while batch.len() < claim_width {
-                let next = merge.next_available(|edge| {
-                    let price = pricer.next(&eval, self.board, self.scratch);
-                    if skip_pool && st.cache_pool.contains(&edge) {
-                        None // already tried in phase 1
-                    } else {
-                        price
-                    }
-                });
-                let Some(edge) = next else { break };
-                // Oracle pruning: a candidate whose endpoints are both
-                // outside the producer's (exact) reachable region is a
-                // guaranteed claim miss — the entry probe is a shortest
-                // path from the producer, and the flood used the same
-                // admission rules. The sequential router would have priced
-                // it (the merge already did) and failed its probe; only
-                // the probe is skipped, so winner and consumed counts are
-                // untouched.
-                if region.complete {
-                    let (x, y) = self.ctx.grid.endpoints(edge);
-                    if !region.contains(x) && !region.contains(y) {
-                        self.stats.oracle_pruned_candidates += 1;
-                        continue;
-                    }
+        let mut merge = OrderedCandidates::new(list, min_price);
+        let claim = loop {
+            let next = merge.next_available(|edge| {
+                if skip_pool && eval.state.cache_pool.contains(&edge) {
+                    None // already tried in phase 1
+                } else {
+                    eval.price_segment(edge, horizon, to_node)
                 }
-                batch.push((edge, merge.priced()));
-            }
-            if batch.is_empty() {
-                return CandidateOutcome::Exhausted {
-                    consumed: merge.priced(),
-                };
-            }
-            let outs: Vec<(EvalCounters, Option<(RoutedPath, NodeId)>)> = match self.board {
-                Some(board) if batch.len() > 1 => {
-                    let edges: Vec<GridEdgeId> = batch.iter().map(|&(e, _)| e).collect();
-                    board
-                        .scatter(
-                            JobKind::Claim {
-                                from,
-                                horizon: *horizon,
-                                edges,
-                            },
-                            &eval,
-                            self.scratch,
-                        )
-                        .into_iter()
-                        .map(|out| match out {
-                            ItemOut::Claim(c, f) => (c, f),
-                            _ => unreachable!("claim batches answer claim items"),
-                        })
-                        .collect()
-                }
-                _ => batch
-                    .iter()
-                    .map(|&(edge, _)| {
-                        let mut c = EvalCounters::default();
-                        let found =
-                            eval.find_cache_entry(from, edge, horizon, self.scratch, &mut c);
-                        (c, found)
-                    })
-                    .collect(),
-            };
-            for (k, (c, found)) in outs.into_iter().enumerate() {
-                self.stats.absorb(c);
-                if let Some((path, exit)) = found {
-                    return CandidateOutcome::Won {
-                        edge: batch[k].0,
-                        exit,
-                        path,
-                        consumed: batch[k].1,
-                    };
+            });
+            let Some(edge) = next else { break None };
+            // Oracle pruning: a candidate whose endpoints are both outside
+            // the producer's (exact) reachable region is a guaranteed claim
+            // miss — the entry probe is a shortest path from the producer,
+            // and the flood used the same admission rules. Only the probe
+            // is skipped; the merge already priced the candidate, so the
+            // winner and `segments_priced` are untouched.
+            if region.complete {
+                let (x, y) = self.ctx.grid.endpoints(edge);
+                if !region.contains(x) && !region.contains(y) {
+                    self.stats.oracle_pruned_candidates += 1;
+                    continue;
                 }
             }
-        }
+            if let Some((path, exit)) =
+                eval.find_cache_entry(from, edge, horizon, self.scratch, self.stats)
+            {
+                break Some((edge, exit, path));
+            }
+        };
+        self.stats.segments_priced += merge.priced();
+        claim
     }
 
     /// The pool members usable for this task's device pair, sorted by the
@@ -2205,76 +1625,20 @@ impl Driver<'_, '_> {
             .pooled_by_pair
             .entry(key)
             .or_insert_with(|| (0, Vec::new().into()));
-        let st = read_state(self.state);
-        if entry.0 < st.pool_log.len() {
+        let pool_log = &self.state.pool_log;
+        if entry.0 < pool_log.len() {
             let mut merged: Vec<(u64, GridEdgeId)> = entry.1.to_vec();
-            for &edge in &st.pool_log[entry.0..] {
+            for &edge in &pool_log[entry.0..] {
                 if let Some(score) = pair.score_of[edge.index()] {
                     let item = (score, edge);
                     let pos = merged.partition_point(|&x| x < item);
                     merged.insert(pos, item);
                 }
             }
-            entry.0 = st.pool_log.len();
+            entry.0 = pool_log.len();
             entry.1 = merged.into();
         }
         Rc::clone(&entry.1)
-    }
-
-    fn commit_store(
-        &mut self,
-        task: &TransportTask,
-        edge: GridEdgeId,
-        exit: NodeId,
-        path: RoutedPath,
-        horizon: &StoreHorizon,
-    ) -> RoutedTransport {
-        let _span = telemetry::span("router", "route.commit");
-        let store_window = horizon.store_window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(
-                &mut st,
-                self.ctx,
-                &path,
-                store_window,
-                task.deadline,
-                self.stats,
-            );
-            // Block the segment from the moment the sample arrives until the
-            // end of its planned fetch window — plus the allowed
-            // postponement, so a delayed fetch still owns the segment while
-            // the sample rests past the plan — so no later task can claim
-            // the segment for the very instant the sample has to leave it.
-            // The segment's end nodes stay passable for other paths (the
-            // paper's exception).
-            let reserved_until = if self.ctx.scale_mode {
-                horizon.planned_fetch.end + self.ctx.options.max_deadline_overrun
-            } else {
-                horizon.planned_fetch.end
-            };
-            st.reservations
-                .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
-            st.cache_of_sample.set(task.sample, (edge, exit));
-            if st.cache_pool.insert(edge) {
-                st.pool_log.push(edge);
-            }
-            st.active_caches[edge.index()] = Some(CacheInfo {
-                blocked: Interval::new(horizon.blocked.start, reserved_until),
-                reserved: Interval::new(horizon.storage.start, reserved_until),
-                fetch_window: horizon.planned_fetch,
-                reserved_until,
-            });
-        }
-        let mut routed_task = task.clone();
-        routed_task.window_start = store_window.start;
-        routed_task.window_end = store_window.end;
-        routed_task.storage_interval = Some((horizon.storage.start, horizon.storage.end));
-        RoutedTransport {
-            task: routed_task,
-            path,
-            cache_edge: Some(edge),
-        }
     }
 
     // -----------------------------------------------------------------
@@ -2288,188 +1652,63 @@ impl Driver<'_, '_> {
         allow_overrun: bool,
     ) -> Result<RoutedTransport, ArchError> {
         let to = self.ctx.placement.node_of(task.to_device);
-        let (cache_edge, exit, reserved_until) = {
-            let st = read_state(self.state);
-            let Some((cache_edge, exit)) = st.cache_of_sample.get(task.sample) else {
-                return Err(ArchError::Inconsistent {
-                    reason: format!("fetch of sample {} before it was stored", task.sample),
-                });
-            };
-            let reserved_until = st.active_caches[cache_edge.index()]
-                .map_or(task.window_end, |info| info.reserved_until);
-            (cache_edge, exit, reserved_until)
+        let Some((cache_edge, exit)) = self.state.cache_of_sample.get(task.sample) else {
+            return Err(ArchError::Inconsistent {
+                reason: format!("fetch of sample {} before it was stored", task.sample),
+            });
         };
-        let (x, y) = self.ctx.grid.endpoints(cache_edge);
-        let other = if exit == x { y } else { x };
+        let reserved_until = self.state.active_caches[cache_edge.index()]
+            .map_or(task.window_end, |info| info.reserved_until);
+        let other = self.ctx.grid.other_endpoint(cache_edge, exit);
 
         let windows = self.collect_windows(task, allow_overrun);
-        // The cache segment is already reserved for the sample through the
-        // end of its planned fetch window plus the postponement guard. When
-        // the fetch is postponed beyond that reservation, the segment must
-        // additionally stay free (the sample keeps resting in it) until the
-        // actual departure completes. Windows failing that are skipped
-        // without being counted — the viability test reads the same frozen
-        // snapshot the scoring does, so prefiltering is exactly the
-        // sequential order.
-        let mut viable = std::mem::take(&mut self.wscratch.viable);
-        viable.clear();
-        {
-            let st = read_state(self.state);
-            for &window in &windows {
-                let beyond_plan = Interval::new(reserved_until.min(window.end), window.end);
-                if st.reservations.edge_free(cache_edge, beyond_plan) {
-                    viable.push(window);
-                }
+        let mut found = None;
+        for &window in &windows {
+            // The cache segment is already reserved for the sample through
+            // the end of its planned fetch window plus the postponement
+            // guard. When the fetch is postponed beyond that reservation,
+            // the segment must additionally stay free (the sample keeps
+            // resting in it) until the actual departure completes. Windows
+            // failing that are skipped without being counted.
+            let beyond_plan = Interval::new(reserved_until.min(window.end), window.end);
+            if !self.state.reservations.edge_free(cache_edge, beyond_plan) {
+                continue;
             }
-        }
-        let result =
-            self.drive_fetch_windows(task, &viable, to, cache_edge, exit, other, reserved_until);
-        self.wscratch.viable = viable;
-        self.wscratch.out = windows;
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive_fetch_windows(
-        &mut self,
-        task: &TransportTask,
-        windows: &[Interval],
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        reserved_until: Seconds,
-    ) -> Result<RoutedTransport, ArchError> {
-        let mut idx = 0;
-        while idx < windows.len() {
-            if idx == 0 || self.width() == 1 {
-                let (c, found) = self.score_one_fetch(to, cache_edge, exit, other, windows[idx]);
-                self.stats.windows_tried += 1;
-                self.stats.absorb(c);
-                if let Some(path) = found {
-                    return Ok(self.commit_fetch(task, path, cache_edge, reserved_until));
-                }
-                idx += 1;
-            } else {
-                let hi = (idx + self.width()).min(windows.len());
-                let outs = self.score_fetch_chunk(to, cache_edge, exit, other, &windows[idx..hi]);
-                for (c, found) in outs {
-                    self.stats.windows_tried += 1;
-                    self.stats.absorb(c);
-                    if let Some(path) = found {
-                        return Ok(self.commit_fetch(task, path, cache_edge, reserved_until));
-                    }
-                }
-                idx = hi;
-            }
-        }
-        Err(ArchError::RoutingFailed {
-            from: task.from_device,
-            to: task.to_device,
-            task: task.describe(),
-        })
-    }
-
-    fn score_one_fetch(
-        &mut self,
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        window: Interval,
-    ) -> (EvalCounters, Option<RoutedPath>) {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        let mut c = EvalCounters::default();
-        let found = eval.find_fetch_path(to, cache_edge, exit, other, window, self.scratch, &mut c);
-        (c, found)
-    }
-
-    fn score_fetch_chunk(
-        &mut self,
-        to: NodeId,
-        cache_edge: GridEdgeId,
-        exit: NodeId,
-        other: NodeId,
-        chunk: &[Interval],
-    ) -> Vec<(EvalCounters, Option<RoutedPath>)> {
-        let _span = telemetry::span("router", "route.path_search");
-        let st = read_state(self.state);
-        let eval = Eval {
-            ctx: self.ctx,
-            state: &st,
-        };
-        match self.board {
-            Some(board) if chunk.len() > 1 => board
-                .scatter(
-                    JobKind::Fetch {
-                        to,
-                        cache_edge,
-                        first: exit,
-                        second: other,
-                        windows: chunk.to_vec(),
-                    },
-                    &eval,
-                    self.scratch,
-                )
-                .into_iter()
-                .map(|out| match out {
-                    ItemOut::Window(c, p) => (c, p),
-                    _ => unreachable!("window batches answer window items"),
-                })
-                .collect(),
-            _ => chunk
-                .iter()
-                .map(|&window| {
-                    let mut c = EvalCounters::default();
-                    let found = eval.find_fetch_path(
-                        to,
-                        cache_edge,
-                        exit,
-                        other,
-                        window,
-                        self.scratch,
-                        &mut c,
-                    );
-                    (c, found)
-                })
-                .collect(),
-        }
-    }
-
-    fn commit_fetch(
-        &mut self,
-        task: &TransportTask,
-        path: RoutedPath,
-        cache_edge: GridEdgeId,
-        reserved_until: Seconds,
-    ) -> RoutedTransport {
-        let _span = telemetry::span("router", "route.commit");
-        let window = path.window;
-        {
-            let mut st = write_state(self.state);
-            commit_path(&mut st, self.ctx, &path, window, task.deadline, self.stats);
-            // Keep the segment blocked while the sample rests in it past
-            // the originally planned fetch time.
-            st.reservations.reserve_edge(
+            let _span = telemetry::span("router", "route.path_search");
+            self.stats.windows_tried += 1;
+            let eval = Eval {
+                ctx: self.ctx,
+                state: self.state,
+            };
+            found = eval.find_fetch_path(
+                to,
                 cache_edge,
-                Interval::new(reserved_until.min(window.end), window.end),
+                exit,
+                other,
+                window,
+                self.scratch,
+                self.stats,
             );
-            st.cache_of_sample.remove(task.sample);
-            st.active_caches[cache_edge.index()] = None;
+            if found.is_some() {
+                break;
+            }
         }
-        let mut routed_task = task.clone();
-        routed_task.window_start = window.start;
-        routed_task.window_end = window.end;
-        RoutedTransport {
-            task: routed_task,
+        self.wscratch.out = windows;
+        let path = found.ok_or_else(|| routing_failed(task))?;
+        let _span = telemetry::span("router", "route.commit");
+        self.state.commit_fetch(
+            self.ctx,
+            task,
+            &path,
+            cache_edge,
+            reserved_until,
+            self.stats,
+        );
+        Ok(RoutedTransport {
+            task: routed_in(task, path.window),
             path,
             cache_edge: Some(cache_edge),
-        }
+        })
     }
 }
 
@@ -2478,18 +1717,16 @@ impl Driver<'_, '_> {
 /// Tasks must be routed in the order returned by
 /// [`extract_transport_tasks`](crate::extract_transport_tasks) (ascending
 /// window start); each successful route immediately reserves its resources.
-/// [`Router::route_all`] additionally spins up a scoped scoring pool when
-/// [`with_threads`](Router::with_threads) asked for more than one thread —
-/// the result is bit-identical to the sequential loop at any thread count.
+/// Routing is sequential: the commit order is the task order and, within a
+/// task, the first feasible candidate by candidate order wins.
 #[derive(Debug)]
 pub struct Router<'a> {
     ctx: RouteCtx<'a>,
-    state: RwLock<RouteState>,
+    state: RouteState,
     lazy: LazyIndexes,
     scratch: DijkstraScratch,
     wscratch: WindowScratch,
     stats: RouterStats,
-    threads: usize,
 }
 
 impl<'a> Router<'a> {
@@ -2538,21 +1775,12 @@ impl<'a> Router<'a> {
                 assists: scale_mode,
                 scale_mode,
             },
-            state: RwLock::new(RouteState::new(grid)),
+            state: RouteState::new(grid),
             lazy: LazyIndexes::default(),
             scratch: DijkstraScratch::for_grid(grid),
             wscratch: WindowScratch::default(),
             stats: RouterStats::default(),
-            threads: 1,
         }
-    }
-
-    /// Sets the scoring-thread count used by [`route_all`](Router::route_all)
-    /// (clamped to at least 1; the chip produced never depends on it).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Arms or disarms the oracle's reject-only search assists (destination
@@ -2572,10 +1800,10 @@ impl<'a> Router<'a> {
         self.stats.oracle_builds += 1;
     }
 
-    /// A pristine router over the same grid, placement, options, oracle and
-    /// thread count — used to restart cold after a failed warm-start
-    /// replay, since a partial replay has already mutated this router's
-    /// reservations. The oracle `Arc` is carried over, not rebuilt.
+    /// A pristine router over the same grid, placement, options and oracle
+    /// — used to restart cold after a failed warm-start replay, since a
+    /// partial replay has already mutated this router's reservations. The
+    /// oracle `Arc` is carried over, not rebuilt.
     #[must_use]
     pub fn fresh(&self) -> Router<'a> {
         Router::with_oracle(
@@ -2584,35 +1812,26 @@ impl<'a> Router<'a> {
             self.ctx.options.clone(),
             Arc::clone(&self.ctx.oracle),
         )
-        .with_threads(self.threads)
         .with_oracle_assists(self.ctx.assists)
-    }
-
-    fn state_mut(&mut self) -> &mut RouteState {
-        let state = self
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.generation += 1;
-        state
     }
 
     /// Edges used by at least one routed path so far, in ascending id order.
     #[must_use]
     pub fn used_edges(&self) -> Vec<GridEdgeId> {
-        read_state(&self.state).used_edges.to_vec()
+        self.state.used_edges.to_vec()
     }
 
     /// Number of distinct edges used by the routed paths so far.
     #[must_use]
     pub fn used_edge_count(&self) -> usize {
-        read_state(&self.state).used_edges.len()
+        self.state.used_edges.len()
     }
 
     /// The reservation table built up so far.
     #[must_use]
     pub fn reservations(&mut self) -> &ReservationTable {
-        &self.state_mut().reservations
+        self.state.generation += 1;
+        &self.state.reservations
     }
 
     /// The per-stage work counters accumulated so far.
@@ -2634,16 +1853,15 @@ impl<'a> Router<'a> {
     /// inside the task's slack and [`ArchError::NoStorageSegment`] when no
     /// channel segment can cache the sample for its storage interval.
     pub fn route(&mut self, task: &TransportTask) -> Result<RoutedTransport, ArchError> {
-        let mut driver = Driver {
+        Driver {
             ctx: &self.ctx,
-            state: &self.state,
+            state: &mut self.state,
             lazy: &mut self.lazy,
             scratch: &mut self.scratch,
             wscratch: &mut self.wscratch,
             stats: &mut self.stats,
-            board: None,
-        };
-        driver.route_task(task)
+        }
+        .route_task(task)
     }
 
     /// Re-commits a transport that an earlier run of this deterministic
@@ -2686,14 +1904,11 @@ impl<'a> Router<'a> {
         }
         let ctx = &self.ctx;
         let stats = &mut self.stats;
-        let st = self
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let st = &mut self.state;
         let path = &routed.path;
         match task.kind {
             TransportKind::Direct => {
-                commit_path(st, ctx, path, path.window, task.deadline, stats);
+                st.commit_path(ctx, path, path.window, task.deadline, stats);
             }
             TransportKind::Store => {
                 let edge = routed.cache_edge.ok_or_else(|| ArchError::Inconsistent {
@@ -2713,24 +1928,7 @@ impl<'a> Router<'a> {
                     .map(|(_, until)| until)
                     .unwrap_or(task.deadline);
                 let horizon = StoreHorizon::new(task, path.window, stored_until);
-                commit_path(st, ctx, path, horizon.store_window, task.deadline, stats);
-                let reserved_until = if ctx.scale_mode {
-                    horizon.planned_fetch.end + ctx.options.max_deadline_overrun
-                } else {
-                    horizon.planned_fetch.end
-                };
-                st.reservations
-                    .reserve_edge(edge, Interval::new(horizon.storage.start, reserved_until));
-                st.cache_of_sample.set(task.sample, (edge, exit));
-                if st.cache_pool.insert(edge) {
-                    st.pool_log.push(edge);
-                }
-                st.active_caches[edge.index()] = Some(CacheInfo {
-                    blocked: Interval::new(horizon.blocked.start, reserved_until),
-                    reserved: Interval::new(horizon.storage.start, reserved_until),
-                    fetch_window: horizon.planned_fetch,
-                    reserved_until,
-                });
+                st.commit_store(ctx, task, edge, exit, path, &horizon, stats);
             }
             TransportKind::Fetch => {
                 let edge = routed.cache_edge.ok_or_else(|| ArchError::Inconsistent {
@@ -2754,37 +1952,23 @@ impl<'a> Router<'a> {
                 }
                 let reserved_until = st.active_caches[edge.index()]
                     .map_or(task.window_end, |info| info.reserved_until);
-                let window = path.window;
-                commit_path(st, ctx, path, window, task.deadline, stats);
-                st.reservations.reserve_edge(
-                    edge,
-                    Interval::new(reserved_until.min(window.end), window.end),
-                );
-                st.cache_of_sample.remove(task.sample);
-                st.active_caches[edge.index()] = None;
+                st.commit_fetch(ctx, task, path, edge, reserved_until, stats);
             }
         }
         Ok(())
     }
 
-    /// Routes every task in order, fanning the pure scoring work (candidate
-    /// windows, cache-segment pricing and claim probes) over a scoped
-    /// thread pool when more than one thread is configured.
-    ///
-    /// The commit order is the task order, every winner is reduced by
-    /// candidate index, and scoring reads frozen state snapshots — so the
-    /// routed result and the [`RouterStats`] are byte-identical to the
-    /// sequential `for task { route(task) }` loop at any thread count.
+    /// Routes every task in order — the `for task { route(task) }` loop —
+    /// and records the accumulated [`RouterStats`] as a trace point event.
     ///
     /// # Errors
     ///
-    /// Propagates the first routing failure, exactly like the sequential
-    /// loop would.
+    /// Propagates the first routing failure.
     pub fn route_all(
         &mut self,
         tasks: &[TransportTask],
     ) -> Result<Vec<RoutedTransport>, ArchError> {
-        let result = self.route_all_inner(tasks);
+        let result = tasks.iter().map(|t| self.route(t)).collect();
         // Fold the per-stage work counters into the trace as a point event;
         // telemetry only observes the (deterministic) stats, never feeds
         // anything back.
@@ -2812,43 +1996,6 @@ impl<'a> Router<'a> {
         );
         result
     }
-
-    fn route_all_inner(
-        &mut self,
-        tasks: &[TransportTask],
-    ) -> Result<Vec<RoutedTransport>, ArchError> {
-        let threads = self.threads;
-        if threads <= 1 || tasks.len() <= 1 {
-            return tasks.iter().map(|t| self.route(t)).collect();
-        }
-        let ctx = &self.ctx;
-        let state = &self.state;
-        let lazy = &mut self.lazy;
-        let scratch = &mut self.scratch;
-        let wscratch = &mut self.wscratch;
-        let stats = &mut self.stats;
-        let board = Board::new(ctx, state, threads);
-        std::thread::scope(|scope| {
-            for worker in 0..threads - 1 {
-                let board = &board;
-                std::thread::Builder::new()
-                    .name(format!("biochip-score-{worker}"))
-                    .spawn_scoped(scope, move || board.worker_loop())
-                    .expect("scoring threads can always be spawned");
-            }
-            let _guard = ShutdownGuard(&board);
-            let mut driver = Driver {
-                ctx,
-                state,
-                lazy,
-                scratch,
-                wscratch,
-                stats,
-                board: Some(&board),
-            };
-            tasks.iter().map(|t| driver.route_task(t)).collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -2870,13 +2017,9 @@ mod tests {
     ) -> Vec<Interval> {
         let mut out = Vec::new();
         let mut ws = WindowScratch::default();
-        let state = router
-            .state
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let eval = Eval {
             ctx: &router.ctx,
-            state,
+            state: &router.state,
         };
         eval.candidate_windows(task, allow_overrun, &mut ws, &mut out);
         out
@@ -3115,7 +2258,7 @@ mod tests {
         ] {
             for &edge in grid.incident_edges(node) {
                 router
-                    .state_mut()
+                    .state
                     .reservations
                     .reserve_edge(edge, Interval::new(0, 23));
             }
@@ -3220,7 +2363,7 @@ mod tests {
     }
 
     /// A congested task mix covering all three kinds with slack (so the
-    /// window stage actually staggers) for the threaded-equality tests.
+    /// window stage actually staggers) for the `route_all` equality test.
     fn congested_tasks() -> Vec<TransportTask> {
         let mut tasks = Vec::new();
         for i in 0..6 {
@@ -3244,7 +2387,7 @@ mod tests {
     }
 
     #[test]
-    fn route_all_is_bit_identical_across_thread_counts() {
+    fn route_all_matches_the_route_loop() {
         for grid_side in [4, 10] {
             let grid = ConnectionGrid::square(grid_side);
             let placement = make_placement(&grid, 3);
@@ -3254,18 +2397,15 @@ mod tests {
             let baseline: Vec<RoutedTransport> =
                 tasks.iter().map(|t| sequential.route(t).unwrap()).collect();
 
-            for threads in [2, 4, 8] {
-                let mut parallel =
-                    Router::new(&grid, &placement, RoutingOptions::default()).with_threads(threads);
-                let routed = parallel.route_all(&tasks).unwrap();
-                assert_eq!(routed, baseline, "side {grid_side}, {threads} threads");
-                assert_eq!(
-                    parallel.stats(),
-                    sequential.stats(),
-                    "side {grid_side}, {threads} threads: stage counters diverged"
-                );
-                assert_eq!(parallel.used_edges(), sequential.used_edges());
-            }
+            let mut batched = Router::new(&grid, &placement, RoutingOptions::default());
+            let routed = batched.route_all(&tasks).unwrap();
+            assert_eq!(routed, baseline, "side {grid_side}");
+            assert_eq!(
+                batched.stats(),
+                sequential.stats(),
+                "side {grid_side}: stage counters diverged"
+            );
+            assert_eq!(batched.used_edges(), sequential.used_edges());
         }
     }
 
@@ -3278,9 +2418,8 @@ mod tests {
         let expected = sequential.route(&tasks[0]).unwrap();
         let expected_err = sequential.route(&tasks[1]).unwrap_err();
 
-        let mut parallel =
-            Router::new(&grid, &placement, RoutingOptions::default()).with_threads(4);
-        let err = parallel.route_all(&tasks).unwrap_err();
+        let mut batched = Router::new(&grid, &placement, RoutingOptions::default());
+        let err = batched.route_all(&tasks).unwrap_err();
         assert_eq!(format!("{err}"), format!("{expected_err}"));
         let _ = expected;
     }

@@ -251,10 +251,10 @@ impl ArchitectureSynthesizer {
         self
     }
 
-    /// Sets the intra-job parallelism policy. The thread count never
-    /// changes the synthesized chip — multi-start placement reduces by
-    /// `(cost, start index)` and the router's parallel scoring reduces by
-    /// candidate order — it only changes how fast the chip is found.
+    /// Sets the intra-job parallelism policy: the worker threads of
+    /// multi-start placement. The thread count never changes the
+    /// synthesized chip — the starts reduce by `(cost, start index)` — it
+    /// only changes how fast the chip is found. Routing is sequential.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -469,8 +469,7 @@ impl ArchitectureSynthesizer {
         };
 
         let (oracle, built) = oracles.get_or_build(self.oracle.scope.as_deref(), grid, &placement);
-        let mut router =
-            Router::with_oracle(grid, &placement, routing.clone(), oracle).with_threads(threads);
+        let mut router = Router::with_oracle(grid, &placement, routing.clone(), oracle);
         if built {
             router.note_oracle_build();
         }

@@ -183,7 +183,7 @@ fn single_start_parallel_synthesis_reproduces_the_pre_parallel_goldens() {
     // K = 1 multi-start must reproduce the committed pre-parallel results
     // exactly — the default `starts: 1` runs the historical RNG stream —
     // and the thread count must not matter either: the same `(n_e, n_v)`
-    // bounds that pin the sequential router pin the 8-thread router.
+    // bounds that pin the sequential synthesizer pin the 8-thread one.
     use biochip_arch::Parallelism;
     for (name, golden_tasks, golden_edges, golden_valves) in PAPER_GOLDEN {
         let graph = library::paper_benchmarks()

@@ -46,7 +46,7 @@ fn main() {
     }
     // Non-fatal tripwire: on a host with enough cores to actually run the
     // benched threads, a threaded row slower than the sequential row means
-    // the scoring pool is a pessimization there — worth a loud note even
+    // the extra threads are a pessimization there — worth a loud note even
     // though CI only hard-fails on determinism (shared runners are too
     // noisy for a hard speedup floor).
     for row in &rows {

@@ -12,7 +12,7 @@
 //! of the timing- and search-effort-stripped report, the schedule and the
 //! replay (see `SynthesisOutcome::output_key`). The synthesizer's
 //! parallelism is **bit-deterministic** — multi-start placement reduces by
-//! `(cost, start index)`, router scoring by candidate order — so the key
+//! `(cost, start index)` and routing is sequential — so the key
 //! must be identical across thread counts; [`assert_thread_equality`]
 //! enforces exactly that and the `pipeline` bin fails CI when it does not
 //! hold.
@@ -47,7 +47,7 @@ pub struct PipelineRow {
     pub assay: String,
     /// Number of device operations.
     pub operations: usize,
-    /// Scoring threads the synthesizer was allowed.
+    /// Worker threads the synthesizer was allowed (placement starts).
     pub threads: usize,
     /// Scheduling wall seconds (the pipeline's `"schedule"` span).
     pub schedule_seconds: f64,

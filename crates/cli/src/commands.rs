@@ -140,7 +140,7 @@ const CONFIG_SPECS: &[OptionSpec] = &[
     OptionSpec {
         name: "--threads",
         takes_value: true,
-        help: "scoring threads for one synthesis (default 1; 0 = all cores; output is thread-count independent)",
+        help: "placement-start workers for one synthesis (default 1; 0 = all cores; output is thread-count independent)",
     },
 ];
 
@@ -723,7 +723,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
         OptionSpec {
             name: "--threads",
             takes_value: true,
-            help: "scoring threads per cold job (default 0 = borrow idle workers; capped at 2x cores / workers)",
+            help: "placement-start workers per cold job (default 1; 0 = all cores; capped at 2x cores / workers)",
         },
         OptionSpec {
             name: "--data-dir",

@@ -2,8 +2,7 @@
 //!
 //! Every random stream in this workspace is a seeded `biochip_rand`
 //! xoshiro stream, forked with `split_seed` for parallel work — that is
-//! what makes multi-start placement and fanned-out route scoring
-//! reproducible. Constructing an RNG from the environment (`thread_rng`,
+//! what makes multi-start placement reproducible. Constructing an RNG from the environment (`thread_rng`,
 //! `from_entropy`, `OsRng`, raw `getrandom`) or seeding one from the clock
 //! silently breaks every byte-identity gate, so it is flagged everywhere,
 //! in every crate.

@@ -37,12 +37,11 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_capacity: usize,
-    /// Scoring threads a single cold job may use. `1` keeps jobs
-    /// sequential; `0` lets a job **borrow idle pool shards** (1 + the
-    /// workers not currently running a job — a lone cold job on an idle
-    /// server then uses the whole machine). Fixed values are clamped so
-    /// `workers × threads` stays within 2× the host's cores. Never changes
-    /// job results, only their latency.
+    /// Placement-start worker threads a single cold job may use (`1`, the
+    /// default, runs each job on one core; `0` means one per core). Values
+    /// are clamped so `workers × threads` stays within 2× the host's cores.
+    /// Routing is sequential either way. Never changes job results, only
+    /// their latency.
     pub threads_per_job: usize,
     /// Data directory for the on-disk result store and job journal.
     /// `None` (the default) keeps everything in memory, exactly as before
@@ -64,7 +63,7 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7078".to_owned(),
             workers: 0,
             cache_capacity: 64,
-            threads_per_job: 0,
+            threads_per_job: 1,
             data_dir: None,
             store_bytes: 256 * 1024 * 1024,
             max_queue_depth: 1024,
@@ -274,9 +273,7 @@ struct ServerState {
     warm_placements: AtomicU64,
     /// Transports committed by warm replay, summed over all jobs.
     warm_tasks_replayed: AtomicU64,
-    /// Worker count of the pool (for the idle-shard borrow computation).
-    workers: usize,
-    /// Per-job scoring threads (0 = adaptive; see [`ServeOptions`]).
+    /// Per-job placement-start threads (clamped; see [`ServeOptions`]).
     threads_per_job: usize,
     /// `"<CANONICAL>:<config key>"` → content key. Named submissions of a
     /// scale assay would otherwise regenerate and canonically hash a
@@ -407,24 +404,23 @@ impl Server {
         } else {
             options.workers
         };
-        // Cap fixed per-job thread counts so `workers × threads` cannot
-        // oversubscribe the host past 2× its cores (the adaptive `0` mode
-        // is bounded by construction: it only hands out idle shards).
+        // Cap per-job thread counts so `workers × threads` cannot
+        // oversubscribe the host past 2× its cores.
         let available = biochip_pool::default_workers();
-        let threads_per_job = if options.threads_per_job > 1 {
-            let cap = (2 * available / workers.max(1)).max(1);
-            if options.threads_per_job > cap {
-                eprintln!(
-                    "biochip serve: clamping --threads {} to {cap} \
-                     ({workers} workers on {available} cores)",
-                    options.threads_per_job
-                );
-                cap
-            } else {
-                options.threads_per_job
-            }
+        let requested = if options.threads_per_job == 0 {
+            available
         } else {
             options.threads_per_job
+        };
+        let cap = (2 * available / workers.max(1)).max(1);
+        let threads_per_job = if requested > cap {
+            eprintln!(
+                "biochip serve: clamping --threads {requested} to {cap} \
+                 ({workers} workers on {available} cores)"
+            );
+            cap
+        } else {
+            requested
         };
         // Open the durability layer (store + journal) and replay whatever
         // the previous incarnation left behind before accepting traffic.
@@ -444,7 +440,6 @@ impl Server {
             warm_jobs: AtomicU64::new(0),
             warm_placements: AtomicU64::new(0),
             warm_tasks_replayed: AtomicU64::new(0),
-            workers,
             threads_per_job,
             name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
             started: Instant::now(),
@@ -1858,19 +1853,10 @@ fn run_job(state: &ServerState, worker: usize, job: QueuedJob) {
     }
 
     // Intra-job parallelism is the server's resource policy, not the
-    // client's: override whatever the submission carried. In the adaptive
-    // mode a cold job borrows every idle pool shard (itself plus each
-    // worker not currently running a job), so a lone job on an idle server
-    // uses the whole machine while a saturated pool degrades gracefully to
-    // one core per job. Results are identical either way.
-    let threads = if state.threads_per_job == 0 {
-        let running = state.jobs.counts().running.max(1);
-        1 + state.workers.saturating_sub(running)
-    } else {
-        state.threads_per_job
-    };
+    // client's: override whatever the submission carried. Results are
+    // identical at any thread count.
     let mut config = config;
-    config.parallelism = biochip_synth::arch::Parallelism::with_threads(threads.max(1));
+    config.parallelism = biochip_synth::arch::Parallelism::with_threads(state.threads_per_job);
 
     let flow = SynthesisFlow::new(config);
     // The staged run probes the per-stage caches (schedule by schedule
@@ -1980,7 +1966,6 @@ mod tests {
             warm_jobs: AtomicU64::new(0),
             warm_placements: AtomicU64::new(0),
             warm_tasks_replayed: AtomicU64::new(0),
-            workers: 1,
             threads_per_job: 1,
             name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
             started: Instant::now(),

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Writes go to `tmp/` first, are fsynced, then atomically renamed into
-//! `store/` — a crash at any point leaves either the old entry, the new
-//! entry, or a stray temp file that the next startup sweeps; never a torn
-//! visible entry. Reads validate the `biochip-store/v1` envelope (schema tag
+//! `store/`, whose directory is fsynced in turn so the rename itself is on
+//! disk — a crash at any point leaves either the old entry, the new entry,
+//! or a stray temp file that the next startup sweeps; never a torn visible
+//! entry. Reads validate the `biochip-store/v1` envelope (schema tag
 //! and embedded key) and quarantine anything that does not parse, so a
 //! corrupted entry is exactly a cache miss plus a counter bump.
 
@@ -410,7 +411,18 @@ fn write_atomic(tmp: &Path, dst: &Path, bytes: &[u8]) -> std::io::Result<()> {
     file.write_all(bytes)?;
     file.sync_all()?;
     drop(file);
-    fs::rename(tmp, dst)
+    fs::rename(tmp, dst)?;
+    sync_parent_dir(dst)
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it survives power
+/// loss and not only a process crash.
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(parent)?.sync_all()
 }
 
 #[cfg(test)]

@@ -108,8 +108,9 @@ impl Journal {
     }
 
     /// Rewrites the journal to exactly `records` (plus a fresh header) via
-    /// temp-file + atomic rename, then reopens for appending. Used after
-    /// replay so the journal does not grow without bound.
+    /// temp-file + atomic rename (file and directory fsynced), then reopens
+    /// for appending. Used after replay so the journal does not grow
+    /// without bound.
     pub fn compact(&self, records: &[Json]) {
         let mut text = String::new();
         let header = Json::object([("schema", Json::String(JOURNAL_SCHEMA.to_owned()))]);
@@ -131,6 +132,11 @@ impl Journal {
             let _ = fs::remove_file(&tmp);
             eprintln!("biochip-store: journal compaction failed: {err}");
             return;
+        }
+        // The rename is done, so appends must move to the new file even
+        // when its directory entry could not be made durable.
+        if let Err(err) = crate::disk::sync_parent_dir(&self.path) {
+            eprintln!("biochip-store: journal compaction failed: {err}");
         }
         *guard = match OpenOptions::new().append(true).open(&self.path) {
             Ok(file) => Some(BufWriter::new(file)),

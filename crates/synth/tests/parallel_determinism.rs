@@ -1,13 +1,13 @@
 //! Property: the full cold pipeline is **byte-identical** across thread
 //! counts.
 //!
-//! The parallel synthesizer (multi-start placement, window/claim scoring
-//! pools) must never change a result — only how fast it is found. For a
-//! seeded pool of 20 random assays, the serialized `SynthesisReport` (wall
-//! times stripped; they are the only nondeterministic fields), the
-//! architecture and the replay must match byte for byte between
-//! `threads = 1`, `2` and `8` — including on a single-core host, where 8
-//! scoring threads merely interleave.
+//! The thread count (multi-start placement workers; routing is sequential)
+//! must never change a result — only how fast it is found. For a seeded
+//! pool of 20 random assays, the serialized `SynthesisReport` (wall times
+//! stripped; they are the only nondeterministic fields), the architecture
+//! and the replay must match byte for byte between `threads = 1`, `2` and
+//! `8` — including on a single-core host, where 8 placement workers merely
+//! interleave.
 
 use biochip_synth::arch::Parallelism;
 use biochip_synth::assay::random::{self, RandomAssayConfig};

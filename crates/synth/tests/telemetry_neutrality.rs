@@ -12,7 +12,7 @@ use biochip_synth::assay::library;
 use biochip_synth::{SynthesisConfig, SynthesisFlow, SynthesisOutcome};
 use biochip_telemetry as telemetry;
 
-/// The bench pipeline's RA1K configuration (8 mixers, sequential scoring).
+/// The bench pipeline's RA1K configuration (8 mixers, one thread).
 fn run_ra1k() -> SynthesisOutcome {
     let graph = library::by_name("RA1K").expect("RA1K is a library assay");
     let flow = SynthesisFlow::new(SynthesisConfig::default().with_mixers(8));
