@@ -10,9 +10,6 @@
 # differs between the stamped commit and HEAD, the artifact is stale and CI
 # fails until it is regenerated.
 #
-# BENCH_arch_baseline.json is exempt: it is the pinned pre-refactor
-# baseline, intentionally frozen at the commit named in its description.
-#
 # Usage: ci/check_bench_provenance.sh [repo-root]
 set -euo pipefail
 
@@ -24,12 +21,6 @@ failed=0
 
 for artifact in BENCH_*.json; do
   [ -e "$artifact" ] || continue
-  case "$artifact" in
-    *_baseline.json)
-      echo "$artifact: pinned baseline, skipped"
-      continue
-      ;;
-  esac
 
   stamp=$(sed -n 's/^[[:space:]]*"commit": "\([^"]*\)".*/\1/p' "$artifact" | head -n 1)
   if [ -z "$stamp" ]; then

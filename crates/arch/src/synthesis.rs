@@ -18,7 +18,7 @@ use crate::transport::{extract_transport_tasks, TransportTask};
 
 /// Work counters of one synthesis run: the staged router's per-stage
 /// counters plus the grid-search effort around it. Surfaced through
-/// `SynthesisReport` and the `bench arch` scale sweep.
+/// `SynthesisReport`, and so in every `bench pipeline` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SynthesisStats {
     /// Per-stage counters of the router that produced the final chip.

@@ -75,7 +75,7 @@ impl RandomAssayConfig {
     /// Creates a configuration for the scale family: wider layers (so the
     /// ready set grows with assay size), fan-in up to 3 with a soft fan-out
     /// cap of 6, and a mixed duration profile. This is the generator behind
-    /// [`ra1k`] and [`ra10k`] and the `biochip bench scale` size sweep.
+    /// [`ra1k`] and [`ra10k`].
     #[must_use]
     pub fn scaled(num_operations: usize, seed: u64) -> Self {
         RandomAssayConfig::new(num_operations, seed)

@@ -1,25 +1,18 @@
 //! Experiment harnesses reproducing the paper's tables and figures.
 //!
 //! Every table/figure of the evaluation section has a function here that
-//! regenerates its rows, a binary that prints them
-//! (`cargo run -p biochip-bench --bin table2` etc.) and a Criterion bench
-//! measuring the runtime of the underlying synthesis
-//! (`cargo bench -p biochip-bench`). `EXPERIMENTS.md` records the measured
-//! values next to the paper's.
+//! regenerates its rows and a binary that prints them
+//! (`cargo run -p biochip-bench --bin table2` etc.). Beside them live the
+//! cold-path sweep ([`pipeline`]), the warm-start edit loop ([`editloop`])
+//! and the job-service load bench ([`serve_bench`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arch_scale;
 pub mod editloop;
 pub mod pipeline;
-pub mod scale;
 pub mod serve_bench;
 
-pub use arch_scale::{
-    arch_scale_csv, arch_scale_rows, format_arch_scale, ArchScaleRow, DEFAULT_ARCH_MIXERS,
-    DEFAULT_ARCH_SIZES,
-};
 pub use editloop::{
     assert_editloop_identity, editloop_csv, editloop_rows, format_editloop, EditLoopRow,
     DEFAULT_EDITLOOP_ASSAYS, DEFAULT_EDITLOOP_EDITS,
@@ -27,9 +20,6 @@ pub use editloop::{
 pub use pipeline::{
     assert_thread_equality, format_pipeline, pipeline_csv, pipeline_rows, pipeline_rows_with_host,
     PipelineRow, DEFAULT_PIPELINE_ASSAYS,
-};
-pub use scale::{
-    format_scale, scale_csv, scale_rows, ScaleRow, DEFAULT_SCALE_MIXERS, DEFAULT_SCALE_SIZES,
 };
 pub use serve_bench::{
     format_serve, format_serve_load, run_serve_bench, run_serve_load, ServeBenchDoc,
@@ -78,8 +68,8 @@ impl fmt::Display for BenchError {
 
 impl std::error::Error for BenchError {}
 
-/// Parses positional size arguments for the `scale`/`arch` bins, falling
-/// back to `defaults` when none are given.
+/// Parses positional count arguments (the `pipeline` bin's thread counts),
+/// falling back to `defaults` when none are given.
 ///
 /// # Errors
 ///
@@ -158,51 +148,6 @@ pub fn write_bench_json<T: biochip_json::Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Times `runs` executions of `f`, printing and returning the mean seconds.
-///
-/// The stand-in for the Criterion harness (not fetchable offline): prints a
-/// `bench <name>: mean <t>s over <n> runs` line and records the numbers via
-/// [`write_bench_json`] under `BENCH_bench_<name>.json`.
-pub fn measure<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(runs > 0, "need at least one run");
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let started = std::time::Instant::now();
-        std::hint::black_box(f());
-        samples.push(started.elapsed().as_secs_f64());
-    }
-    let mean = samples.iter().sum::<f64>() / runs as f64;
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().copied().fold(0.0f64, f64::max);
-    println!("bench {name}: mean {mean:.4}s (min {min:.4}s, max {max:.4}s) over {runs} runs");
-    #[derive(Debug)]
-    struct Sample {
-        name: String,
-        runs: usize,
-        mean_seconds: f64,
-        min_seconds: f64,
-        max_seconds: f64,
-    }
-    biochip_json::impl_json_struct!(Sample {
-        name,
-        runs,
-        mean_seconds,
-        min_seconds,
-        max_seconds
-    });
-    write_bench_json(
-        &format!("bench_{name}"),
-        &Sample {
-            name: name.to_owned(),
-            runs,
-            mean_seconds: mean,
-            min_seconds: min,
-            max_seconds: max,
-        },
-    );
-    mean
-}
-
 /// The benchmark set of Table 2 with the device inventory used for each
 /// assay (the paper does not report its device counts; these are chosen so
 /// that utilization is comparable to the reported execution times).
@@ -253,27 +198,6 @@ pub fn run_benchmark(name: &str) -> Result<SynthesisReport, BenchError> {
             error,
         })?
         .report)
-}
-
-/// Like [`run_benchmark`] but forcing the heuristic (storage-aware list)
-/// scheduler — used by the timing benches so that a single iteration does
-/// not include the ILP solver's multi-second time limit.
-///
-/// # Errors
-///
-/// Returns a [`BenchError`] when the name is not part of the benchmark set
-/// or its synthesis fails.
-pub fn run_benchmark_heuristic(name: &str) -> Result<SynthesisReport, BenchError> {
-    let (graph, config) = benchmark_config(name)?;
-    Ok(
-        SynthesisFlow::new(config.with_scheduler(SchedulerChoice::StorageAware))
-            .run(graph)
-            .map_err(|error| BenchError::Synthesis {
-                name: name.to_owned(),
-                error,
-            })?
-            .report,
-    )
 }
 
 /// Table 2: one report per benchmark assay (scheduling, architectural
@@ -446,8 +370,6 @@ mod tests {
         let err = run_benchmark("NOPE").unwrap_err();
         assert!(matches!(err, BenchError::UnknownBenchmark { .. }));
         assert!(err.to_string().contains("PCR"), "{err}");
-        let err = run_benchmark_heuristic("NOPE").unwrap_err();
-        assert!(matches!(err, BenchError::UnknownBenchmark { .. }));
     }
 
     #[test]

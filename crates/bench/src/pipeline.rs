@@ -1,21 +1,28 @@
-//! Cold-pipeline parallel sweep: per-stage latency and multi-core speedup.
+//! Cold-pipeline sweep: per-stage latency, chip quality and router work.
 //!
-//! `BENCH_arch.json` tracks the router's throughput; this sweep tracks the
-//! whole **cold path** — schedule → place → route → layout → replay — per
-//! thread count, for the scale assays the job service actually serves cold
+//! The one cold-path bench: it runs the whole **cold path** — schedule →
+//! place → route → layout → replay — per assay and thread count, by
+//! default for the scale assays the job service actually serves cold
 //! (RA1K and RA10K). Stage times come from the telemetry spans the pipeline
 //! records anyway (the run executes under
 //! [`biochip_telemetry::with_collection`]); only the end-to-end total is a
 //! stopwatch, so the stages may sum to slightly less than the total (task
-//! extraction, verification and span bookkeeping live between spans). Each
-//! row also records the outcome's `output_key`: the canonical content hash
-//! of the timing- and search-effort-stripped report, the schedule and the
-//! replay (see `SynthesisOutcome::output_key`). The synthesizer's
-//! parallelism is **bit-deterministic** — multi-start placement reduces by
-//! `(cost, start index)` and routing is sequential — so the key
-//! must be identical across thread counts; [`assert_thread_equality`]
-//! enforces exactly that and the `pipeline` bin fails CI when it does not
-//! hold.
+//! extraction, verification and span bookkeeping live between spans).
+//!
+//! Each row also carries the outcome's `output_key` (the canonical content
+//! hash of the timing- and search-effort-stripped report, the schedule and
+//! the replay; see `SynthesisOutcome::output_key`) and the timing-stripped
+//! [`SynthesisReport`] itself: chip quality (grid, `n_e`, `n_v`, `t_E`, peak
+//! storage) and the router's deterministic work counters (windows,
+//! searches, nodes expanded, segments priced, postponements, peak
+//! calendar). Every run's schedule is validated against its problem, so a
+//! 10k-op row is also a schedule-correctness witness.
+//!
+//! The synthesizer's parallelism is **bit-deterministic** — multi-start
+//! placement reduces by `(cost, start index)` and routing is sequential —
+//! so the key must be identical across thread counts;
+//! [`assert_thread_equality`] enforces exactly that and the `pipeline` bin
+//! fails CI when it does not hold.
 //!
 //! **Honesty about host parallelism:** a row benched with more threads than
 //! the host has cores measures oversubscription, not speedup. Such rows are
@@ -31,7 +38,7 @@ use std::time::Instant;
 
 use biochip_synth::arch::Parallelism;
 use biochip_synth::assay::library;
-use biochip_synth::{SynthesisConfig, SynthesisFlow};
+use biochip_synth::{SynthesisConfig, SynthesisFlow, SynthesisReport};
 use biochip_telemetry as telemetry;
 
 use crate::BenchError;
@@ -82,8 +89,10 @@ pub struct PipelineRow {
     /// Canonical content hash of the timing-stripped outcome (report,
     /// schedule, replay). Must be identical across thread counts.
     pub output_key: String,
-    /// Grid attempts the synthesizer needed.
-    pub grids_tried: usize,
+    /// The run's report with wall times zeroed
+    /// ([`SynthesisReport::without_timings`]): chip quality, grid attempts
+    /// and the router's work counters.
+    pub report: SynthesisReport,
 }
 
 biochip_json::impl_json_struct!(PipelineRow {
@@ -102,7 +111,7 @@ biochip_json::impl_json_struct!(PipelineRow {
     undersubscribed,
     speedup_vs_single,
     output_key,
-    grids_tried,
+    report,
 });
 
 /// Sums the durations of all complete spans named `name`.
@@ -132,12 +141,15 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
     let started = Instant::now();
     let (result, events) = telemetry::with_collection(|| flow.run(graph));
     let total_seconds = started.elapsed().as_secs_f64();
-    let outcome = result.map_err(|error| BenchError::Synthesis {
-        name: name.to_owned(),
-        error,
-    })?;
-
-    let output_key = outcome.output_key();
+    let outcome = result
+        .and_then(|outcome| {
+            outcome.schedule.validate(&outcome.problem)?;
+            Ok(outcome)
+        })
+        .map_err(|error| BenchError::Synthesis {
+            name: name.to_owned(),
+            error,
+        })?;
 
     Ok(PipelineRow {
         assay: outcome.report.assay.clone(),
@@ -154,8 +166,8 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
         total_seconds,
         undersubscribed: threads > host_threads,
         speedup_vs_single: None,
-        output_key,
-        grids_tried: outcome.report.grids_tried,
+        output_key: outcome.output_key(),
+        report: outcome.report.without_timings(),
     })
 }
 
@@ -299,7 +311,7 @@ pub fn pipeline_csv(rows: &[PipelineRow]) -> String {
             r.undersubscribed,
             format_speedup(r),
             r.output_key,
-            r.grids_tried,
+            r.report.grids_tried,
         ));
     }
     out
@@ -366,6 +378,25 @@ mod tests {
         assert!(table.contains("PCR"));
         let csv = pipeline_csv(&rows);
         assert_eq!(csv.lines().count(), rows.len() + 1);
+    }
+
+    #[test]
+    fn pipeline_rows_carry_router_work() {
+        // The report carries the router's work counters: every transport
+        // task tries at least one window, and routing searched paths.
+        let rows = pipeline_rows_with_host(&["PCR"], &[1], 64).unwrap();
+        assert_eq!(rows.len(), 1);
+        let outcome = SynthesisFlow::new(SynthesisConfig::default().with_mixers(8))
+            .run(library::by_name("PCR").unwrap())
+            .unwrap();
+        let tasks =
+            biochip_synth::arch::extract_transport_tasks(&outcome.problem, &outcome.schedule).len();
+        assert!(tasks > 0);
+        let r = &rows[0];
+        assert_eq!(r.report, outcome.report.without_timings());
+        assert!(r.report.windows_tried >= tasks, "{:?}", r.report);
+        assert!(r.report.path_searches > 0, "{:?}", r.report);
+        assert!(r.report.used_edges > 0);
     }
 
     #[test]

@@ -815,8 +815,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
         OptionSpec {
             name: "--what",
             takes_value: true,
-            help: "table2 | fig8 | fig9 | fig10 | scale | arch | pipeline | editloop \
-                   (default table2)",
+            help: "table2 | fig8 | fig9 | fig10 | pipeline | editloop (default table2)",
         },
         OptionSpec {
             name: "--format",
@@ -829,16 +828,6 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             help: "write the result here (default: stdout)",
         },
         OptionSpec {
-            name: "--sizes",
-            takes_value: true,
-            help: "scale/arch only: comma-separated graph sizes (default 100,1000,10000)",
-        },
-        OptionSpec {
-            name: "--mixers",
-            takes_value: true,
-            help: "scale/arch only: mixer count for the sweep (default 8)",
-        },
-        OptionSpec {
             name: "--threads",
             takes_value: true,
             help: "pipeline only: comma-separated thread counts (default 1,<cores>)",
@@ -846,7 +835,8 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
         OptionSpec {
             name: "--assays",
             takes_value: true,
-            help: "editloop only: comma-separated assay names (default RA1K)",
+            help: "pipeline/editloop only: comma-separated assay names \
+                   (default RA1K,RA10K for pipeline, RA1K for editloop)",
         },
         OptionSpec {
             name: "--edits",
@@ -857,11 +847,9 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
     if help_requested(argv) {
         print_help(
             "bench",
-            "Reproduces the paper's evaluation numbers; `bench scale` sweeps\n\
-             the list scheduler, `bench arch` sweeps place & route over the\n\
-             RA1K/RA10K-style scale workloads, `bench pipeline` measures\n\
-             the cold pipeline's per-stage latency and multi-core speedup\n\
-             (and fails if output differs across thread counts), and\n\
+            "Reproduces the paper's evaluation numbers; `bench pipeline`\n\
+             measures the cold pipeline's per-stage latency, chip quality and\n\
+             router work (and fails if output differs across thread counts), and\n\
              `bench editloop` replays single-edit resynthesis warm vs. cold\n\
              (and fails if any warm output key diverges from cold).",
             &specs,
@@ -869,7 +857,7 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let parsed = ParsedArgs::parse(argv, &specs)?;
-    // The target can be given positionally (`biochip bench scale`) or via
+    // The target can be given positionally (`biochip bench pipeline`) or via
     // `--what`; giving both (or several positionals) is ambiguous.
     let what = match (parsed.positional(), parsed.value("--what")) {
         ([], what) => what.unwrap_or("table2"),
@@ -881,26 +869,23 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             ));
         }
     };
-    if !matches!(what, "scale" | "arch")
-        && (parsed.value("--sizes").is_some() || parsed.value("--mixers").is_some())
-    {
-        return Err(CliError::usage(
-            "--sizes/--mixers only apply to `biochip bench scale` or `bench arch`".to_owned(),
-        ));
-    }
     if what != "pipeline" && parsed.value("--threads").is_some() {
         return Err(CliError::usage(
             "--threads only applies to `biochip bench pipeline`".to_owned(),
         ));
     }
-    if what != "editloop"
-        && (parsed.value("--assays").is_some() || parsed.value("--edits").is_some())
-    {
+    if !matches!(what, "pipeline" | "editloop") && parsed.value("--assays").is_some() {
         return Err(CliError::usage(
-            "--assays/--edits only apply to `biochip bench editloop`".to_owned(),
+            "--assays only applies to `biochip bench pipeline` or `bench editloop`".to_owned(),
+        ));
+    }
+    if what != "editloop" && parsed.value("--edits").is_some() {
+        return Err(CliError::usage(
+            "--edits only applies to `biochip bench editloop`".to_owned(),
         ));
     }
     let format = parsed.value("--format").unwrap_or("text");
+    let assays_raw = parsed.list_value("--assays");
     let contents = match (what, format) {
         ("pipeline", "json" | "csv" | "text") => {
             let threads: Vec<usize> = match parsed.list_value("--threads") {
@@ -924,9 +909,12 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
                     "--threads needs at least one non-zero thread count".to_owned(),
                 ));
             }
-            let rows =
-                biochip_bench::pipeline_rows(biochip_bench::DEFAULT_PIPELINE_ASSAYS, &threads)
-                    .map_err(|e| CliError::runtime(format!("pipeline sweep failed: {e}")))?;
+            let assays = bench_assays(
+                assays_raw.as_deref(),
+                biochip_bench::DEFAULT_PIPELINE_ASSAYS,
+            )?;
+            let rows = biochip_bench::pipeline_rows(&assays, &threads)
+                .map_err(|e| CliError::runtime(format!("pipeline sweep failed: {e}")))?;
             biochip_bench::assert_thread_equality(&rows).map_err(|divergence| {
                 CliError::runtime(format!("DETERMINISM FAILURE: {divergence}"))
             })?;
@@ -937,16 +925,10 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             }
         }
         ("editloop", "json" | "csv" | "text") => {
-            let assays_raw = parsed.list_value("--assays");
-            let assays: Vec<&str> = match &assays_raw {
-                Some(raw) => raw.iter().map(String::as_str).collect(),
-                None => biochip_bench::DEFAULT_EDITLOOP_ASSAYS.to_vec(),
-            };
-            if assays.is_empty() {
-                return Err(CliError::usage(
-                    "--assays needs at least one assay name".to_owned(),
-                ));
-            }
+            let assays = bench_assays(
+                assays_raw.as_deref(),
+                biochip_bench::DEFAULT_EDITLOOP_ASSAYS,
+            )?;
             let edits = parsed
                 .parse_value::<usize>("--edits")?
                 .unwrap_or(biochip_bench::DEFAULT_EDITLOOP_EDITS)
@@ -965,42 +947,6 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
                 _ => biochip_bench::format_editloop(&rows),
             }
         }
-        ("scale" | "arch", "json" | "csv" | "text") => {
-            let sizes: Vec<usize> = match parsed.list_value("--sizes") {
-                Some(raw) => raw
-                    .iter()
-                    .map(|s| {
-                        s.parse::<usize>()
-                            .map_err(|e| CliError::usage(format!("invalid size `{s}`: {e}")))
-                    })
-                    .collect::<Result<_, _>>()?,
-                None => biochip_bench::DEFAULT_SCALE_SIZES.to_vec(),
-            };
-            if sizes.is_empty() || sizes.contains(&0) {
-                return Err(CliError::usage(
-                    "--sizes needs at least one non-zero graph size".to_owned(),
-                ));
-            }
-            let mixers = parsed
-                .parse_value::<usize>("--mixers")?
-                .unwrap_or(biochip_bench::DEFAULT_SCALE_MIXERS)
-                .max(1);
-            if what == "arch" {
-                let rows = biochip_bench::arch_scale_rows(&sizes, mixers);
-                match format {
-                    "json" => biochip_json::to_string_pretty(&rows),
-                    "csv" => biochip_bench::arch_scale_csv(&rows),
-                    _ => biochip_bench::format_arch_scale(&rows),
-                }
-            } else {
-                let rows = biochip_bench::scale_rows(&sizes, mixers);
-                match format {
-                    "json" => biochip_json::to_string_pretty(&rows),
-                    "csv" => biochip_bench::scale_csv(&rows),
-                    _ => biochip_bench::format_scale(&rows),
-                }
-            }
-        }
         ("table2", "text") => biochip_bench::format_table2(&biochip_bench::table2_rows()),
         ("table2", "json") => biochip_json::to_string_pretty(&biochip_bench::table2_rows()),
         ("table2", "csv") => table2_csv(&biochip_bench::table2_rows()),
@@ -1017,12 +963,12 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
         (w, f)
             if !matches!(
                 w,
-                "table2" | "fig8" | "fig9" | "fig10" | "scale" | "arch" | "pipeline" | "editloop"
+                "table2" | "fig8" | "fig9" | "fig10" | "pipeline" | "editloop"
             ) =>
         {
             return Err(CliError::usage(format!(
                 "unknown bench target `{f}`-formatted `{w}` \
-                 (expected table2, fig8, fig9, fig10, scale, arch, pipeline or editloop)"
+                 (expected table2, fig8, fig9, fig10, pipeline or editloop)"
             )));
         }
         (_, f) => {
@@ -1032,6 +978,23 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
         }
     };
     emit(parsed.value("--out"), &contents, "bench results")
+}
+
+/// The `--assays` list of a bench target, or the target's defaults.
+fn bench_assays<'a>(
+    raw: Option<&'a [String]>,
+    defaults: &[&'a str],
+) -> Result<Vec<&'a str>, CliError> {
+    let assays: Vec<&str> = match raw {
+        Some(raw) => raw.iter().map(String::as_str).collect(),
+        None => defaults.to_vec(),
+    };
+    if assays.is_empty() {
+        return Err(CliError::usage(
+            "--assays needs at least one assay name".to_owned(),
+        ));
+    }
+    Ok(assays)
 }
 
 fn table2_csv(rows: &[SynthesisReport]) -> String {

@@ -192,6 +192,34 @@ fn help_is_available_everywhere() {
 }
 
 #[test]
+fn bench_pipeline_honours_the_assay_list() {
+    let output = biochip(&[
+        "bench",
+        "pipeline",
+        "--assays",
+        "RA100",
+        "--threads",
+        "1",
+        "--format",
+        "csv",
+    ]);
+    assert_success(&output, "biochip bench pipeline");
+    let csv = String::from_utf8_lossy(&output.stdout);
+    let rows: Vec<&str> = csv.lines().skip(1).filter(|l| !l.is_empty()).collect();
+    assert_eq!(rows.len(), 1, "{csv}");
+    assert!(rows[0].starts_with("RA100,"), "{csv}");
+
+    // The scheduler-only and place-and-route sweeps are folded into it.
+    for target in ["scale", "arch"] {
+        assert_eq!(
+            biochip(&["bench", target]).status.code(),
+            Some(2),
+            "{target}"
+        );
+    }
+}
+
+#[test]
 fn json_errors_flag_emits_a_structured_error_body() {
     let output = biochip(&[
         "simulate",

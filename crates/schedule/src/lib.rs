@@ -32,9 +32,8 @@
 //! 10,000-operation random assay (`biochip_assay::random::ra10k`) schedules
 //! in well under a second in release mode. See the [`ListScheduler`] module
 //! documentation for the exact per-step complexity and the deterministic
-//! tie-breaking order, and `cargo run --release -p biochip-bench --bin
-//! scale` (or `biochip bench scale`) for the throughput trajectory
-//! (`BENCH_scale.json`: ops/sec, makespan and peak storage vs. graph size).
+//! tie-breaking order, and `biochip bench pipeline` for the measured
+//! trajectory (`BENCH_pipeline.json`: schedule seconds per assay size).
 //!
 //! # Example
 //!

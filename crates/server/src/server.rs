@@ -1807,11 +1807,9 @@ fn run_job(state: &ServerState, worker: usize, job: QueuedJob) {
         state
             .durable
             .journal_terminal(id, JobState::Cancelled, Some("cancelled while queued"));
+        // Counted in `biochip_jobs{state="cancelled"}`, never timed: the job
+        // did not synthesize, so it stays out of the cold histogram.
         state.release_client(client);
-        state
-            .metrics
-            .job_cold_seconds
-            .observe(submitted.elapsed().as_secs_f64());
         return;
     }
 

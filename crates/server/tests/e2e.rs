@@ -463,8 +463,13 @@ fn jobs_report_live_stages_and_can_be_cancelled() {
     // path is near-universal, but on a loaded machine the victim may
     // already be terminal (409). Only an accepted cancel makes the
     // "never flips to done afterwards" guarantee checkable.
+    let mut cancelled_while_queued = false;
     if status == 202 {
         let victim_final = client::wait_for_job(addr, victim_id, JOB_TIMEOUT).unwrap();
+        cancelled_while_queued = victim_final
+            .get("error")
+            .and_then(|e| e.expect_str().ok())
+            .is_some_and(|e| e.contains("cancelled while queued"));
         assert_eq!(
             victim_final.get("status").unwrap().expect_str().unwrap(),
             "cancelled",
@@ -482,6 +487,16 @@ fn jobs_report_live_stages_and_can_be_cancelled() {
     let slow_final = wait_done(addr, &slow);
     assert!(slow_final.get("report").is_some());
 
+    // A job cancelled before it ran never synthesized, so only the slow
+    // job is timed in the cold histogram.
+    if cancelled_while_queued {
+        let (_, metrics) = client::get(addr, "/metrics").unwrap();
+        assert!(
+            metrics.contains("biochip_job_seconds_count{mode=\"cold\"} 1\n"),
+            "{metrics}"
+        );
+    }
+
     // Cancelling a finished job is a 409.
     let slow_id = client::job_id(&slow_final).unwrap();
     let (status, _) = client::request(addr, "DELETE", &format!("/jobs/{slow_id}"), None).unwrap();
@@ -489,4 +504,163 @@ fn jobs_report_live_stages_and_can_be_cancelled() {
 
     handle.stop();
     join.join().unwrap();
+}
+
+/// Every `/metrics` series that also has a `/stats` field, as
+/// `(series, dotted /stats path)`.
+const SHARED_SERIES: &[(&str, &str)] = &[
+    ("biochip_cache_hits_total", "cache.hits"),
+    ("biochip_cache_misses_total", "cache.misses"),
+    ("biochip_cache_evictions_total", "cache.evictions"),
+    ("biochip_cache_entries", "cache.entries"),
+    ("biochip_cache_capacity", "cache.capacity"),
+    (
+        "biochip_stage_cache_hits_total{stage=\"schedule\"}",
+        "stage_cache.schedule.hits",
+    ),
+    (
+        "biochip_stage_cache_hits_total{stage=\"architecture\"}",
+        "stage_cache.architecture.hits",
+    ),
+    (
+        "biochip_stage_cache_misses_total{stage=\"schedule\"}",
+        "stage_cache.schedule.misses",
+    ),
+    (
+        "biochip_stage_cache_misses_total{stage=\"architecture\"}",
+        "stage_cache.architecture.misses",
+    ),
+    ("biochip_oracle_builds_total", "stage_cache.oracle.builds"),
+    ("biochip_oracle_hits_total", "stage_cache.oracle.hits"),
+    ("biochip_oracle_entries", "stage_cache.oracle.entries"),
+    ("biochip_warm_jobs_total", "jobs_warm_started"),
+    ("biochip_jobs_accepted_total", "jobs_accepted"),
+    ("biochip_pool_workers", "pool.workers"),
+    ("biochip_pool_queue_depth", "pool.queued"),
+    ("biochip_pool_jobs_completed_total", "pool.completed"),
+    ("biochip_pool_jobs_panicked_total", "pool.panicked"),
+    ("biochip_store_hits_total", "store.hits"),
+    ("biochip_store_misses_total", "store.misses"),
+    ("biochip_store_corrupt_total", "store.corrupt"),
+    ("biochip_store_evictions_total", "store.evictions"),
+    ("biochip_store_write_errors_total", "store.write_errors"),
+    ("biochip_store_entries", "store.entries"),
+    ("biochip_store_bytes", "store.bytes"),
+    ("biochip_journal_appends_total", "journal.appends"),
+    (
+        "biochip_journal_append_errors_total",
+        "journal.append_errors",
+    ),
+    ("biochip_journal_replayed_total", "journal.replayed"),
+    (
+        "biochip_jobs_recovered_total{outcome=\"recovered\"}",
+        "journal.recovered",
+    ),
+    (
+        "biochip_jobs_recovered_total{outcome=\"requeued\"}",
+        "journal.requeued",
+    ),
+    (
+        "biochip_jobs_recovered_total{outcome=\"lost\"}",
+        "journal.lost",
+    ),
+    ("biochip_jobs{state=\"queued\"}", "jobs_queued"),
+    ("biochip_jobs{state=\"running\"}", "jobs_running"),
+    ("biochip_jobs{state=\"done\"}", "jobs_done"),
+    ("biochip_jobs{state=\"failed\"}", "jobs_failed"),
+    ("biochip_jobs{state=\"cancelled\"}", "jobs_cancelled"),
+    (
+        "biochip_admission_rejected_total{reason=\"queue_full\"}",
+        "admission.rejected_queue_full",
+    ),
+    (
+        "biochip_admission_rejected_total{reason=\"client_quota\"}",
+        "admission.rejected_client_quota",
+    ),
+    (
+        "biochip_admission_rejected_total{reason=\"draining\"}",
+        "admission.rejected_draining",
+    ),
+];
+
+/// The [`SHARED_SERIES`] values of one `/stats` document, in table order.
+fn shared_stats(addr: SocketAddr) -> Vec<f64> {
+    let (status, body) = client::get(addr, "/stats").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let stats = biochip_json::parse(&body).unwrap();
+    SHARED_SERIES
+        .iter()
+        .map(|(_, path)| {
+            path.split('.')
+                .try_fold(&stats, |doc, key| doc.get(key))
+                .unwrap_or_else(|| panic!("no `{path}` in /stats: {body}"))
+                .expect_number()
+                .unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn stats_and_metrics_agree_on_every_shared_series() {
+    let data_dir = std::env::temp_dir().join(format!("biochip-e2e-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let server = Server::bind(&ServeOptions {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        cache_capacity: 8,
+        data_dir: Some(data_dir.display().to_string()),
+        ..ServeOptions::default()
+    })
+    .expect("loopback bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run());
+
+    // One cold synthesis, then the same submission answered from the cache.
+    wait_done(addr, &client::submit(addr, r#"{"assay": "PCR"}"#).unwrap());
+    let hit = client::submit(addr, r#"{"assay": "PCR"}"#).unwrap();
+    assert_eq!(hit.get("cached").unwrap(), &biochip_json::Json::Bool(true));
+
+    // A worker finishes its bookkeeping (pool and journal counters) just
+    // after the job turns `done`: compare a scrape taken between two equal
+    // `/stats` snapshots.
+    let (stats, metrics) = (0..100)
+        .find_map(|_| {
+            let before = shared_stats(addr);
+            let (status, metrics) = client::get(addr, "/metrics").unwrap();
+            assert_eq!(status, 200);
+            let after = shared_stats(addr);
+            if before == after {
+                Some((before, metrics))
+            } else {
+                std::thread::sleep(Duration::from_millis(20));
+                None
+            }
+        })
+        .expect("the counters settle once both jobs are done");
+
+    let series: std::collections::HashMap<&str, f64> = metrics
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .map(|(name, value)| (name, value.parse().unwrap()))
+        .collect();
+    for ((name, path), value) in SHARED_SERIES.iter().zip(&stats) {
+        assert_eq!(
+            series.get(name),
+            Some(value),
+            "/metrics `{name}` vs /stats `{path}`"
+        );
+    }
+    // Not vacuous: the run moved the counters both renderings report.
+    let value = |name: &str| series[name];
+    assert_eq!(value("biochip_cache_hits_total"), 1.0);
+    assert_eq!(value("biochip_cache_misses_total"), 1.0);
+    assert_eq!(value("biochip_jobs{state=\"done\"}"), 2.0);
+    assert_eq!(value("biochip_store_entries"), 1.0);
+    assert!(value("biochip_journal_appends_total") > 0.0);
+
+    handle.stop();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&data_dir);
 }

@@ -50,6 +50,11 @@ impl Journal {
                         Json::object([("schema", Json::String(JOURNAL_SCHEMA.to_owned()))]);
                     ok = writeln!(writer, "{}", header.to_compact()).is_ok()
                         && writer.flush().is_ok();
+                    // Make the new directory entry durable, as compaction
+                    // does after its rename; the journal stays usable.
+                    if let Err(err) = crate::disk::sync_parent_dir(path) {
+                        eprintln!("biochip-store: journal creation not durable: {err}");
+                    }
                 }
                 if ok {
                     Some(writer)
