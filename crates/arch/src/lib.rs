@@ -82,7 +82,7 @@ pub use grid::{ConnectionGrid, GridCoord, GridEdgeId, NodeId};
 pub use ilp_route::{route_with_ilp, IlpRoutingProblem};
 pub use oracle::{OracleCache, RoutingOracle};
 pub use parallel::Parallelism;
-pub use placement::{place_devices, place_devices_threaded, Placement, PlacementOptions};
+pub use placement::{place_devices, Placement, PlacementOptions};
 pub use reservation::{Interval, ReservationCalendar, ReservationTable};
 pub use route_plan::validate_route_plan;
 pub use routing::{RoutedPath, Router, RouterStats, RoutingOptions};

@@ -7,11 +7,13 @@
 //! deterministic) that swaps/moves devices to reduce the total
 //! traffic-weighted Manhattan distance.
 //!
-//! The refinement evaluates every candidate move **incrementally**: a swap or
-//! move only changes the cost terms of the touched devices, so the delta is
-//! computed from the affected [`TrafficMatrix`] rows in `O(devices)` instead
-//! of recomputing the full `O(devices²)` [`Placement::weighted_cost`] per
-//! step.
+//! The refinement allocates nothing per move. Occupancy is a dense
+//! `taken` flag per grid node, and a move's target is the k-th untaken entry
+//! of the candidate list. Each move is priced **incrementally** from a
+//! flattened `devices × devices` weight table and each device's tracked
+//! `(row, col)`: a swap or move only changes the cost terms of the touched
+//! devices, so the delta costs `O(devices)` instead of the full
+//! `O(devices²)` [`Placement::weighted_cost`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -241,11 +243,17 @@ pub fn place_devices(
     tasks: &[TransportTask],
     options: &PlacementOptions,
 ) -> Result<Placement, ArchError> {
-    place_devices_threaded(grid, num_devices, tasks, options, 1)
+    place_devices_threaded(
+        grid,
+        &TrafficMatrix::from_tasks(num_devices, tasks),
+        options,
+        1,
+    )
 }
 
-/// Like [`place_devices`], but refining the [`PlacementOptions::starts`]
-/// independent annealing starts on up to `threads` worker threads.
+/// Like [`place_devices`], for the devices `traffic` covers, refining the
+/// [`PlacementOptions::starts`] independent annealing starts on up to
+/// `threads` worker threads.
 ///
 /// The thread count never changes the result: every start runs its own
 /// seed-split RNG stream and the winner is reduced by `(cost, start
@@ -255,20 +263,19 @@ pub fn place_devices(
 ///
 /// Returns [`ArchError::GridTooSmall`] if the grid has fewer nodes than
 /// devices.
-pub fn place_devices_threaded(
+pub(crate) fn place_devices_threaded(
     grid: &ConnectionGrid,
-    num_devices: usize,
-    tasks: &[TransportTask],
+    traffic: &TrafficMatrix,
     options: &PlacementOptions,
     threads: usize,
 ) -> Result<Placement, ArchError> {
+    let num_devices = traffic.len();
     if num_devices > grid.num_nodes() {
         return Err(ArchError::GridTooSmall {
             devices: num_devices,
             nodes: grid.num_nodes(),
         });
     }
-    let traffic = TrafficMatrix::from_tasks(num_devices, tasks);
 
     // Candidate positions: prefer nodes on a regular sub-lattice so devices
     // are separated by switch nodes (this keeps segments free for caching),
@@ -349,7 +356,7 @@ pub fn place_devices_threaded(
         let mut refined = placement;
         refine(
             grid,
-            &traffic,
+            traffic,
             &mut refined,
             &preferred,
             options,
@@ -370,7 +377,7 @@ pub fn place_devices_threaded(
         let mut candidate = placement.clone();
         let cost = refine(
             grid,
-            &traffic,
+            traffic,
             &mut candidate,
             &preferred,
             options,
@@ -409,39 +416,15 @@ pub fn place_devices_threaded(
     Ok(best.expect("at least one annealing start ran").1)
 }
 
-/// Cost delta of moving one device to `to`, with `ignore` (the swap partner,
-/// if any) excluded because its own terms are accounted for by the caller.
-fn move_delta(
-    grid: &ConnectionGrid,
-    traffic: &TrafficMatrix,
-    nodes: &[NodeId],
-    device: usize,
-    to: NodeId,
-    ignore: Option<usize>,
-) -> i64 {
-    let from = nodes[device];
-    let mut delta = 0i64;
-    for (other, &other_node) in nodes.iter().enumerate() {
-        if other == device || Some(other) == ignore {
-            continue;
-        }
-        let weight = traffic.weight(DeviceId(device), DeviceId(other)) as i64;
-        if weight > 0 {
-            delta += weight
-                * (grid.distance(to, other_node) as i64 - grid.distance(from, other_node) as i64);
-        }
-    }
-    delta
-}
-
 /// Simulated-annealing refinement: swap two devices or move one device to a
-/// free preferred node, accepting uphill moves with a temperature-dependent
+/// free candidate node, accepting uphill moves with a temperature-dependent
 /// probability. Returns the cost of the placement it settles on (the
 /// multi-start reduction key).
 ///
-/// Each candidate move is priced by its **delta cost** — only the traffic
-/// rows of the touched devices are visited — and applied in place; the full
-/// quadratic cost is never recomputed inside the loop.
+/// Every device must sit on a candidate node (the greedy stage places them
+/// there and moves only target candidates), so each accepted move frees one
+/// candidate and takes another: the number of free candidates is fixed for
+/// the whole run.
 fn refine(
     grid: &ConnectionGrid,
     traffic: &TrafficMatrix,
@@ -451,52 +434,90 @@ fn refine(
     seed: u64,
 ) -> i64 {
     let mut rng = StdRng::seed_from_u64(seed);
-    let initial_cost = placement.weighted_cost(grid, traffic) as i64;
-    let mut current_cost = initial_cost;
-    let mut best = placement.node_of_device.clone();
+    let mut current_cost = placement.weighted_cost(grid, traffic) as i64;
+    let nodes = &mut placement.node_of_device;
+    let n = nodes.len();
+    // `weights[a * n + b]` is the traffic between devices a and b.
+    let weights: Vec<i64> = (0..n)
+        .flat_map(|a| (0..n).map(move |b| traffic.weight(DeviceId(a), DeviceId(b)) as i64))
+        .collect();
+    let coord = |node: NodeId| {
+        let c = grid.coord(node);
+        (c.row as i64, c.col as i64)
+    };
+    let mut pos: Vec<(i64, i64)> = nodes.iter().map(|&node| coord(node)).collect();
+    let candidate_pos: Vec<(i64, i64)> = candidates.iter().map(|&node| coord(node)).collect();
+    let mut taken = vec![false; grid.num_nodes()];
+    for node in nodes.iter() {
+        taken[node.index()] = true;
+    }
+    debug_assert!(
+        nodes.iter().all(|node| candidates.contains(node)),
+        "every device starts on a candidate node"
+    );
+    let free_count = candidates.iter().filter(|c| !taken[c.index()]).count();
+
+    let mut best = nodes.clone();
     let mut best_cost = current_cost;
-    let mut occupied: std::collections::HashSet<NodeId> =
-        placement.node_of_device.iter().copied().collect();
     let moves = options.annealing_moves.max(1);
     for step in 0..moves {
         let temperature = 1.0 - (step as f64 / moves as f64);
-        let nodes = &mut placement.node_of_device;
-        let (delta, action) = if rng.gen_bool(0.5) && nodes.len() >= 2 {
+        let (delta, action) = if rng.gen_bool(0.5) && n >= 2 {
             // Swap two devices.
-            let a = rng.gen_range(0..nodes.len());
-            let mut b = rng.gen_range(0..nodes.len());
+            let a = rng.gen_range(0..n);
+            let mut b = rng.gen_range(0..n);
             while b == a {
-                b = rng.gen_range(0..nodes.len());
+                b = rng.gen_range(0..n);
             }
-            let delta = move_delta(grid, traffic, nodes, a, nodes[b], Some(b))
-                + move_delta(grid, traffic, nodes, b, nodes[a], Some(a));
+            let (pa, pb) = (pos[a], pos[b]);
+            let (row_a, row_b) = (&weights[a * n..][..n], &weights[b * n..][..n]);
+            let mut delta = 0;
+            for (other, ((&wa, &wb), &p)) in row_a.iter().zip(row_b).zip(&pos).enumerate() {
+                if other != a && other != b {
+                    delta += (wa - wb) * (manhattan(pb, p) - manhattan(pa, p));
+                }
+            }
             (delta, Action::Swap(a, b))
         } else {
-            // Move one device to a free candidate node. The free list is
-            // materialized exactly as before the delta-cost rewrite so the
-            // seeded RNG stream — and therefore every placement — stays
-            // bit-identical to the original annealer's.
-            let d = rng.gen_range(0..nodes.len());
-            let free: Vec<NodeId> = candidates
-                .iter()
-                .copied()
-                .filter(|n| !occupied.contains(n))
-                .collect();
-            if free.is_empty() {
+            // Move one device to a free candidate node. The original
+            // annealer collected the free candidates into a list, in
+            // candidate order, and drew an index below the list's length;
+            // taking the k-th untaken candidate for the same draw `k`
+            // selects the same node with the same `gen_range` call, so the
+            // seeded RNG stream — and therefore every placement — is
+            // unchanged.
+            let d = rng.gen_range(0..n);
+            if free_count == 0 {
                 continue;
             }
-            let to = free[rng.gen_range(0..free.len())];
-            let delta = move_delta(grid, traffic, nodes, d, to, None);
-            (delta, Action::Move(d, to))
+            let k = rng.gen_range(0..free_count);
+            let (slot, &to) = candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !taken[c.index()])
+                .nth(k)
+                .expect("k is below the free-candidate count");
+            let (from, to_pos) = (pos[d], candidate_pos[slot]);
+            let mut delta = 0;
+            for (other, (&w, &p)) in weights[d * n..][..n].iter().zip(&pos).enumerate() {
+                if other != d {
+                    delta += w * (manhattan(to_pos, p) - manhattan(from, p));
+                }
+            }
+            (delta, Action::Move(d, to, to_pos))
         };
         let accept = delta <= 0 || rng.gen_bool((0.05 + 0.4 * temperature).clamp(0.0, 1.0));
         if accept {
             match action {
-                Action::Swap(a, b) => nodes.swap(a, b),
-                Action::Move(d, to) => {
-                    occupied.remove(&nodes[d]);
-                    occupied.insert(to);
+                Action::Swap(a, b) => {
+                    nodes.swap(a, b);
+                    pos.swap(a, b);
+                }
+                Action::Move(d, to, to_pos) => {
+                    taken[nodes[d].index()] = false;
+                    taken[to.index()] = true;
                     nodes[d] = to;
+                    pos[d] = to_pos;
                 }
             }
             current_cost += delta;
@@ -515,10 +536,16 @@ fn refine(
     best_cost
 }
 
+/// Manhattan distance between two `(row, col)` positions.
+fn manhattan(a: (i64, i64), b: (i64, i64)) -> i64 {
+    (a.0 - b.0).abs() + (a.1 - b.1).abs()
+}
+
 /// A candidate annealing move, applied only after acceptance.
 enum Action {
     Swap(usize, usize),
-    Move(usize, NodeId),
+    /// Device, target node and the target's `(row, col)`.
+    Move(usize, NodeId, (i64, i64)),
 }
 
 #[cfg(test)]
@@ -635,31 +662,31 @@ mod tests {
     }
 
     #[test]
-    fn move_delta_matches_full_recompute() {
+    fn annealed_cost_matches_full_recompute() {
+        // The annealer tracks its cost by move deltas; the cost it reports
+        // must equal a full recompute of the placement it returns (checked
+        // here in release builds too, where its debug_assert is off).
         let grid = ConnectionGrid::square(5);
         let tasks = vec![task(0, 1), task(0, 1), task(1, 2), task(2, 3), task(0, 3)];
         let traffic = TrafficMatrix::from_tasks(4, &tasks);
-        let placement = Placement::from_nodes(vec![NodeId(0), NodeId(6), NodeId(12), NodeId(24)]);
-        let base = placement.weighted_cost(&grid, &traffic) as i64;
-        // Move device 2 to a free node.
-        let mut moved = placement.clone();
-        let delta = move_delta(
-            &grid,
-            &traffic,
-            &placement.node_of_device,
-            2,
-            NodeId(20),
-            None,
-        );
-        moved.node_of_device[2] = NodeId(20);
-        assert_eq!(moved.weighted_cost(&grid, &traffic) as i64, base + delta);
-        // Swap devices 0 and 3.
-        let nodes = &placement.node_of_device;
-        let delta = move_delta(&grid, &traffic, nodes, 0, nodes[3], Some(3))
-            + move_delta(&grid, &traffic, nodes, 3, nodes[0], Some(0));
-        let mut swapped = placement.clone();
-        swapped.node_of_device.swap(0, 3);
-        assert_eq!(swapped.weighted_cost(&grid, &traffic) as i64, base + delta);
+        let candidates: Vec<NodeId> = grid.nodes().collect();
+        for seed in 0..8 {
+            let mut placement =
+                Placement::from_nodes(vec![NodeId(0), NodeId(6), NodeId(12), NodeId(24)]);
+            let cost = refine(
+                &grid,
+                &traffic,
+                &mut placement,
+                &candidates,
+                &PlacementOptions::default(),
+                seed,
+            );
+            assert_eq!(
+                cost,
+                placement.weighted_cost(&grid, &traffic) as i64,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -677,9 +704,10 @@ mod tests {
             starts: 4,
             ..PlacementOptions::default()
         };
-        let single = place_devices_threaded(&grid, 5, &tasks, &options, 1).unwrap();
+        let traffic = TrafficMatrix::from_tasks(5, &tasks);
+        let single = place_devices_threaded(&grid, &traffic, &options, 1).unwrap();
         for threads in [2, 4, 8] {
-            let multi = place_devices_threaded(&grid, 5, &tasks, &options, threads).unwrap();
+            let multi = place_devices_threaded(&grid, &traffic, &options, threads).unwrap();
             assert_eq!(multi, single, "{threads} threads diverged");
         }
     }
@@ -693,8 +721,7 @@ mod tests {
         let single = place_devices(&grid, 4, &tasks, &PlacementOptions::default()).unwrap();
         let multi = place_devices_threaded(
             &grid,
-            4,
-            &tasks,
+            &traffic,
             &PlacementOptions {
                 starts: 6,
                 ..PlacementOptions::default()
@@ -715,7 +742,13 @@ mod tests {
         let grid = ConnectionGrid::square(5);
         let tasks: Vec<TransportTask> = vec![task(0, 1), task(1, 2), task(2, 0)];
         let a = place_devices(&grid, 3, &tasks, &PlacementOptions::default()).unwrap();
-        let b = place_devices_threaded(&grid, 3, &tasks, &PlacementOptions::default(), 8).unwrap();
+        let b = place_devices_threaded(
+            &grid,
+            &TrafficMatrix::from_tasks(3, &tasks),
+            &PlacementOptions::default(),
+            8,
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 

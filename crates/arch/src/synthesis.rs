@@ -320,6 +320,7 @@ impl ArchitectureSynthesizer {
             })?;
         let tasks = extract_transport_tasks(problem, schedule);
         let num_devices = problem.devices().len();
+        let traffic = TrafficMatrix::from_tasks(num_devices, &tasks);
 
         let peak_storage = schedule.metrics(problem).max_concurrent_storage;
         let initial = self
@@ -398,7 +399,7 @@ impl ArchitectureSynthesizer {
                 .warm
                 .as_ref()
                 .filter(|w| w.grid_side == size && w.routing == *routing);
-            match self.try_grid(&grid, problem, &tasks, routing, warm, oracles) {
+            match self.try_grid(&grid, &tasks, &traffic, routing, warm, oracles) {
                 Ok((architecture, mut stats, reuse)) => {
                     stats.grids_tried = grids_tried + 1;
                     stats.relaxed_pass = relaxed_pass;
@@ -427,14 +428,14 @@ impl ArchitectureSynthesizer {
     fn try_grid(
         &self,
         grid: &ConnectionGrid,
-        problem: &ScheduleProblem,
         tasks: &[TransportTask],
+        traffic: &TrafficMatrix,
         routing: &RoutingOptions,
         warm: Option<&WarmStart>,
         oracles: &OracleCache,
     ) -> Result<(Architecture, SynthesisStats, WarmReuse), ArchError> {
         let threads = self.parallelism.effective_threads();
-        let num_devices = problem.devices().len();
+        let num_devices = traffic.len();
         let mut reuse = WarmReuse {
             tasks_total: tasks.len(),
             ..WarmReuse::default()
@@ -453,9 +454,8 @@ impl ArchitectureSynthesizer {
             {
                 return None;
             }
-            let prior_traffic = TrafficMatrix::from_tasks(num_devices, &w.tasks);
-            let traffic = TrafficMatrix::from_tasks(num_devices, tasks);
-            (prior_traffic == traffic).then(|| w.placement.clone())
+            (TrafficMatrix::from_tasks(num_devices, &w.tasks) == *traffic)
+                .then(|| w.placement.clone())
         });
         let placement = match adopted {
             Some(placement) => {
@@ -464,7 +464,7 @@ impl ArchitectureSynthesizer {
             }
             None => {
                 let _span = telemetry::span("pipeline", "place");
-                place_devices_threaded(grid, num_devices, tasks, &self.options.placement, threads)?
+                place_devices_threaded(grid, traffic, &self.options.placement, threads)?
             }
         };
 

@@ -1,4 +1,5 @@
-//! Pins the router's steady-state allocation rate.
+//! Pins the router's steady-state allocation rate, and the placement
+//! annealer's freedom from per-move allocations.
 //!
 //! The hot loops (window selection, Dijkstra, segment pricing) run on
 //! reusable scratch buffers and dense index tables; the only allocations a
@@ -7,14 +8,18 @@
 //! small heap. This test routes a warm-up batch, then counts allocations
 //! over a measured batch through a counting global allocator and fails when
 //! the per-task rate regresses past a generous bound — the tripwire for
-//! accidentally reintroducing per-task `Vec`/`HashMap` churn.
+//! accidentally reintroducing per-task `Vec`/`HashMap` churn. The annealer
+//! must allocate the same amount whatever its move count.
+//!
+//! Allocations are counted per thread, so tests running side by side do not
+//! see each other's allocations.
 //!
 //! (The counter lives here, in an integration test, because a global
 //! allocator must be installed by the final binary — the library itself
 //! stays `forbid(unsafe_code)`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use biochip_arch::{
     place_devices, ConnectionGrid, PlacementOptions, Router, RoutingOptions, TransportKind,
@@ -25,13 +30,24 @@ use biochip_schedule::DeviceId;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: touching it never
+    // allocates, so the allocator can bump it.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus one Relaxed counter bump —
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: pure pass-through to `System` plus one thread-local counter bump —
 // every GlobalAlloc contract obligation is delegated unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while the thread is being torn down; such
+        // allocations go uncounted.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
         // SAFETY: same layout the caller gave us, forwarded to System.
         unsafe { System.alloc(layout) }
     }
@@ -126,13 +142,13 @@ fn steady_state_routing_stays_allocation_lean() {
     }
 
     let measured = task_stream(100, 10_000, 10 + 16 * 60);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for task in &measured {
         router
             .route(task)
             .unwrap_or_else(|e| panic!("measured: {e}"));
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
 
     // Generous bound: each task legitimately allocates its result path and
     // the store stage its merge heap; the pre-refactor per-task `HashSet` /
@@ -144,5 +160,31 @@ fn steady_state_routing_stays_allocation_lean() {
         "steady-state routing allocates {per_task:.1} times per task \
          ({allocations} allocations over {} tasks) — scratch reuse regressed",
         measured.len()
+    );
+}
+
+#[test]
+fn placement_allocations_do_not_grow_with_annealing_moves() {
+    // Side 8 puts the devices on the spacing-2 lattice with free candidate
+    // nodes left over, so the annealer runs both swaps and moves.
+    let grid = ConnectionGrid::square(8);
+    let tasks = task_stream(60, 0, 10);
+    let count = |annealing_moves| {
+        let options = PlacementOptions {
+            annealing_moves,
+            ..PlacementOptions::default()
+        };
+        let before = allocations();
+        let placement = place_devices(&grid, 4, &tasks, &options).unwrap();
+        let made = allocations() - before;
+        drop(placement);
+        made
+    };
+    let short = count(2_000);
+    let long = count(20_000);
+    assert_eq!(
+        short, long,
+        "placement made {short} allocations at 2,000 moves but {long} at 20,000 — \
+         the annealer allocates per move"
     );
 }

@@ -139,8 +139,15 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
     let flow = SynthesisFlow::new(config);
 
     let started = Instant::now();
-    let (result, events) = telemetry::with_collection(|| flow.run(graph));
+    let (result, mut events) = telemetry::with_collection(|| flow.run(graph));
     let total_seconds = started.elapsed().as_secs_f64();
+    // The collector is process-wide: flows running on other threads while
+    // the session is open (outside any session of their own) record spans
+    // too. Every span of this flow is recorded on this thread, because the
+    // stages and grid attempts run sequentially here and only placement's
+    // annealing starts fan out, inside this thread's `"place"` span.
+    let tid = telemetry::current_tid();
+    events.retain(|e| e.tid == tid);
     let outcome = result
         .and_then(|outcome| {
             outcome.schedule.validate(&outcome.problem)?;

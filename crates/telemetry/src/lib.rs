@@ -42,5 +42,6 @@ mod spans;
 pub use export::chrome_trace_json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use spans::{
-    drain, enabled, instant, set_enabled, span, with_collection, SpanEvent, SpanGuard, SpanKind,
+    current_tid, drain, enabled, instant, set_enabled, span, with_collection, SpanEvent, SpanGuard,
+    SpanKind,
 };

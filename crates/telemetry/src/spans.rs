@@ -69,7 +69,9 @@ fn now_micros() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
 
-fn current_tid() -> u64 {
+/// The calling thread's logical id, as stamped into [`SpanEvent::tid`].
+#[must_use]
+pub fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
