@@ -479,13 +479,13 @@ fn refine(
             }
             (delta, Action::Swap(a, b))
         } else {
-            // Move one device to a free candidate node. The original
-            // annealer collected the free candidates into a list, in
-            // candidate order, and drew an index below the list's length;
-            // taking the k-th untaken candidate for the same draw `k`
-            // selects the same node with the same `gen_range` call, so the
-            // seeded RNG stream — and therefore every placement — is
-            // unchanged.
+            // Move one device to a free candidate node: the k-th untaken
+            // candidate, in candidate order, for one draw `k` below the
+            // free count. That is the node, and the `gen_range` call, that
+            // indexing a collected list of the free candidates would give,
+            // which is how the committed chips (and `placement_pin.rs`)
+            // were produced — so the seeded RNG stream, and every
+            // placement, stay exactly as pinned without building the list.
             let d = rng.gen_range(0..n);
             if free_count == 0 {
                 continue;
