@@ -27,11 +27,10 @@ use crate::transport::TransportTask;
 
 /// Options for the placement stage.
 ///
-/// `Deserialize` is hand-written (not derived) so that documents from
-/// before the multi-start annealer existed — which lack the `starts`
-/// field — still load with the single-start behaviour they were written
-/// under.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// `starts` and `warm_start` are `#[serde(default)]`: documents from before
+/// they existed load with the single-start, warm-adopting behaviour of the
+/// defaults.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementOptions {
     /// Run the simulated-annealing refinement after greedy placement.
     pub refine: bool,
@@ -46,6 +45,7 @@ pub struct PlacementOptions {
     /// result is deterministic no matter how many threads refine the starts
     /// concurrently. The default of 1 reproduces the single-chain annealer
     /// (and its committed goldens) exactly.
+    #[serde(default)]
     pub starts: usize,
     /// Allow a warm start: when an edit-loop caller supplies a prior
     /// placement whose inputs (grid, traffic matrix, these options) are
@@ -56,6 +56,9 @@ pub struct PlacementOptions {
     /// byte-identity contract of the warm-start differential suite — so a
     /// warm placement is always bit-identical to what the annealer would
     /// have found. `true` by default; set `false` to force cold placement.
+    /// Adoption is safe by construction (exact-input gate), so documents
+    /// from before the field existed default it on.
+    #[serde(default)]
     pub warm_start: bool,
 }
 
@@ -68,27 +71,6 @@ impl Default for PlacementOptions {
             starts: 1,
             warm_start: true,
         }
-    }
-}
-
-impl serde::Deserialize for PlacementOptions {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        Ok(PlacementOptions {
-            refine: value.field("refine")?,
-            annealing_moves: value.field("annealing_moves")?,
-            seed: value.field("seed")?,
-            // Absent in pre-multi-start documents: those ran one chain.
-            starts: match value.get("starts") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
-                None => 1,
-            },
-            // Absent in pre-warm-start documents: warm adoption is safe by
-            // construction (exact-input gate), so it defaults on.
-            warm_start: match value.get("warm_start") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
-                None => true,
-            },
-        })
     }
 }
 

@@ -363,6 +363,10 @@ impl ArchitectureSynthesizer {
         let scale_side = crate::segment_index::SCALE_GRID_SIDE;
         let scale = initial >= scale_side;
         let mut attempts: Vec<(usize, bool)> = Vec::new();
+        // Cold placements by grid side. Placement reads only the grid, the
+        // traffic matrix and the placement options, so the relaxed pass
+        // reuses the strict pass's placement of the same side.
+        let mut placed: Vec<(usize, Placement)> = Vec::new();
         if scale {
             for size in initial..=max {
                 attempts.push((size, self.options.allow_postponement));
@@ -399,7 +403,7 @@ impl ArchitectureSynthesizer {
                 .warm
                 .as_ref()
                 .filter(|w| w.grid_side == size && w.routing == *routing);
-            match self.try_grid(&grid, &tasks, &traffic, routing, warm, oracles) {
+            match self.try_grid(&grid, &tasks, &traffic, routing, warm, oracles, &mut placed) {
                 Ok((architecture, mut stats, reuse)) => {
                     stats.grids_tried = grids_tried + 1;
                     stats.relaxed_pass = relaxed_pass;
@@ -424,7 +428,10 @@ impl ArchitectureSynthesizer {
         Err(last_error)
     }
 
-    /// One placement + routing attempt on a fixed grid.
+    /// One placement + routing attempt on a fixed grid. A cold placement is
+    /// taken from `placed` when an earlier attempt placed the same grid side,
+    /// and recorded there otherwise.
+    #[allow(clippy::too_many_arguments)]
     fn try_grid(
         &self,
         grid: &ConnectionGrid,
@@ -433,6 +440,7 @@ impl ArchitectureSynthesizer {
         routing: &RoutingOptions,
         warm: Option<&WarmStart>,
         oracles: &OracleCache,
+        placed: &mut Vec<(usize, Placement)>,
     ) -> Result<(Architecture, SynthesisStats, WarmReuse), ArchError> {
         let threads = self.parallelism.effective_threads();
         let num_devices = traffic.len();
@@ -462,10 +470,16 @@ impl ArchitectureSynthesizer {
                 reuse.placement_reused = true;
                 placement
             }
-            None => {
-                let _span = telemetry::span("pipeline", "place");
-                place_devices_threaded(grid, traffic, &self.options.placement, threads)?
-            }
+            None => match placed.iter().find(|(side, _)| *side == grid.rows()) {
+                Some((_, placement)) => placement.clone(),
+                None => {
+                    let _span = telemetry::span("pipeline", "place");
+                    let placement =
+                        place_devices_threaded(grid, traffic, &self.options.placement, threads)?;
+                    placed.push((grid.rows(), placement.clone()));
+                    placement
+                }
+            },
         };
 
         let (oracle, built) = oracles.get_or_build(self.oracle.scope.as_deref(), grid, &placement);

@@ -100,23 +100,50 @@ impl Serialize for SequencingGraph {
             ("edges", self.edges.to_json()),
         ])
     }
+
+    fn write_json(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.key("name");
+        self.name.write_json(w);
+        w.key("operations");
+        self.operations.write_json(w);
+        w.key("edges");
+        self.edges.write_json(w);
+        w.end_object();
+    }
 }
 
-impl Deserialize for SequencingGraph {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        let name: String = value.field("name")?;
-        let operations: Vec<Operation> = value.field("operations")?;
-        let edges: Vec<DependencyEdge> = value.field("edges")?;
-        let mut graph = SequencingGraph::new(name);
-        for op in operations {
+/// The serialized fields of a [`SequencingGraph`], before its derived
+/// state is rebuilt.
+#[derive(Deserialize)]
+struct GraphDocument {
+    name: String,
+    operations: Vec<Operation>,
+    edges: Vec<DependencyEdge>,
+}
+
+impl GraphDocument {
+    fn into_graph(self) -> Result<SequencingGraph, serde::JsonError> {
+        let mut graph = SequencingGraph::new(self.name);
+        for op in self.operations {
             graph.add_operation(op);
         }
-        for edge in edges {
+        for edge in self.edges {
             graph
                 .add_dependency(edge.parent, edge.child)
                 .map_err(|e| serde::JsonError::new(format!("invalid edge {edge:?}: {e}")))?;
         }
         Ok(graph)
+    }
+}
+
+impl Deserialize for SequencingGraph {
+    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
+        GraphDocument::from_json(value)?.into_graph()
+    }
+
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::JsonError> {
+        GraphDocument::read_json(r)?.into_graph()
     }
 }
 

@@ -29,6 +29,7 @@
 //! Run it with `biochip bench editloop [--assays RA1K] [--edits 6]`; the
 //! rows land in `BENCH_editloop.json`.
 
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 use biochip_synth::assay::{library, SequencingGraph};
@@ -47,7 +48,7 @@ pub const DEFAULT_EDITLOOP_ASSAYS: &[&str] = &["RA1K"];
 pub const DEFAULT_EDITLOOP_EDITS: usize = 6;
 
 /// One edit of the loop: the same edited input synthesized cold and warm.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EditLoopRow {
     /// Assay name.
     pub assay: String,
@@ -79,23 +80,6 @@ pub struct EditLoopRow {
     /// `output_key_warm == output_key_cold`.
     pub identical: bool,
 }
-
-biochip_json::impl_json_struct!(EditLoopRow {
-    assay,
-    edit,
-    seed,
-    cold_seconds,
-    warm_seconds,
-    speedup,
-    schedule_reuse,
-    architecture_reuse,
-    placement_reused,
-    tasks_replayed,
-    tasks_total,
-    output_key_cold,
-    output_key_warm,
-    identical,
-});
 
 /// The edit kind applied at position `seed` of the sweep: the three config
 /// kinds first (while the store holds exactly the base artifacts), then

@@ -26,6 +26,7 @@ pub use serve_bench::{
     ServeBenchReport, ServeLoadReport,
 };
 
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use biochip_synth::assay::{library, SequencingGraph};
@@ -49,6 +50,14 @@ pub enum BenchError {
         /// The flow failure.
         error: FlowError,
     },
+    /// The benchmark's pipeline-state document did not survive its JSON
+    /// round trip.
+    Handoff {
+        /// The benchmark being encoded and decoded.
+        name: String,
+        /// What went wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for BenchError {
@@ -62,6 +71,7 @@ impl fmt::Display for BenchError {
                 )
             }
             BenchError::Synthesis { name, error } => write!(f, "{name}: {error}"),
+            BenchError::Handoff { name, reason } => write!(f, "{name}: JSON hand-off: {reason}"),
         }
     }
 }
@@ -127,21 +137,20 @@ pub fn bench_commit() -> String {
 /// primary output.
 pub fn write_bench_json<T: biochip_json::Serialize>(name: &str, value: &T) {
     let host_threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let envelope = biochip_json::Json::object([
-        (
-            "schema",
-            biochip_json::Json::String("biochip-bench/v1".to_owned()),
-        ),
-        ("commit", biochip_json::Json::String(bench_commit())),
-        (
-            "host_threads",
-            biochip_json::Json::Number(host_threads as f64),
-        ),
-        ("data", value.to_json()),
-    ]);
+    let mut w = biochip_json::Writer::pretty();
+    w.begin_object();
+    w.key("schema");
+    w.string("biochip-bench/v1");
+    w.key("commit");
+    w.string(&bench_commit());
+    w.key("host_threads");
+    w.integer(host_threads as i64);
+    w.key("data");
+    value.write_json(&mut w);
+    w.end_object();
     let dir = std::env::var("BIOCHIP_BENCH_DIR").unwrap_or_else(|_| ".".to_owned());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    if let Err(e) = std::fs::write(&path, envelope.to_pretty()) {
+    if let Err(e) = std::fs::write(&path, w.into_string()) {
         eprintln!("warning: cannot write {}: {e}", path.display());
     } else {
         eprintln!("wrote {}", path.display());
@@ -226,7 +235,7 @@ pub fn fig8_rows() -> Vec<(String, f64, f64)> {
 }
 
 /// One row of the Fig. 9 comparison (with vs. without storage optimization).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig9Row {
     /// Assay name.
     pub assay: String,
@@ -239,14 +248,6 @@ pub struct Fig9Row {
     /// Valves (baseline / optimized).
     pub valves: (usize, usize),
 }
-
-biochip_json::impl_json_struct!(Fig9Row {
-    assay,
-    execution_baseline,
-    execution_optimized,
-    edges,
-    valves,
-});
 
 /// Fig. 9: RA30, IVD and PCR synthesized from a makespan-only schedule and
 /// from a storage-optimized schedule.

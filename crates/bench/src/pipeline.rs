@@ -34,11 +34,14 @@
 //! (positional args = thread counts, default `1 <cores>`) or
 //! `biochip bench pipeline [--threads 1,4] [--assays RA1K,RA10K]`.
 
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use biochip_synth::arch::Parallelism;
 use biochip_synth::assay::library;
-use biochip_synth::{SynthesisConfig, SynthesisFlow, SynthesisReport};
+use biochip_synth::{
+    PipelineState, SynthesisConfig, SynthesisFlow, SynthesisOutcome, SynthesisReport,
+};
 use biochip_telemetry as telemetry;
 
 use crate::BenchError;
@@ -48,7 +51,7 @@ use crate::BenchError;
 pub const DEFAULT_PIPELINE_ASSAYS: &[&str] = &["RA1K", "RA10K"];
 
 /// One row of the pipeline sweep: one assay, cold, at one thread count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineRow {
     /// Assay name.
     pub assay: String,
@@ -75,6 +78,13 @@ pub struct PipelineRow {
     pub layout_seconds: f64,
     /// Replay + dedicated-baseline wall seconds (the `"replay"` span).
     pub replay_seconds: f64,
+    /// Wall seconds to encode the complete pipeline-state document (the
+    /// hand-off `biochip simulate` reads, as `biochip run --full` writes
+    /// it). Not part of `total_seconds`.
+    pub json_encode_seconds: f64,
+    /// Wall seconds to decode that document back into a pipeline state.
+    /// Not part of `total_seconds`.
+    pub json_decode_seconds: f64,
     /// End-to-end cold wall seconds (stopwatch around the whole run; the
     /// stages above may sum to slightly less).
     pub total_seconds: f64,
@@ -95,25 +105,6 @@ pub struct PipelineRow {
     pub report: SynthesisReport,
 }
 
-biochip_json::impl_json_struct!(PipelineRow {
-    assay,
-    operations,
-    threads,
-    schedule_seconds,
-    place_seconds,
-    route_seconds,
-    window_select_seconds,
-    path_search_seconds,
-    commit_seconds,
-    layout_seconds,
-    replay_seconds,
-    total_seconds,
-    undersubscribed,
-    speedup_vs_single,
-    output_key,
-    report,
-});
-
 /// Sums the durations of all complete spans named `name`.
 fn span_seconds(events: &[telemetry::SpanEvent], name: &str) -> f64 {
     events
@@ -126,6 +117,33 @@ fn span_seconds(events: &[telemetry::SpanEvent], name: &str) -> f64 {
         .sum()
 }
 
+/// Times the encode and the decode of the outcome's complete pipeline-state
+/// document, and checks that the decoded state encodes to the same text.
+fn time_handoff(
+    name: &str,
+    config: SynthesisConfig,
+    outcome: &SynthesisOutcome,
+) -> Result<(f64, f64), BenchError> {
+    let state = PipelineState::from_outcome(config, outcome);
+    let started = Instant::now();
+    let text = state.to_json_text();
+    let encode_seconds = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    let decoded = PipelineState::from_json_text(&text, name);
+    let decode_seconds = started.elapsed().as_secs_f64();
+    match decoded {
+        Ok(decoded) if decoded.to_json_text() == text => Ok((encode_seconds, decode_seconds)),
+        Ok(_) => Err(BenchError::Handoff {
+            name: name.to_owned(),
+            reason: "the decoded state encodes to different text".to_owned(),
+        }),
+        Err(reason) => Err(BenchError::Handoff {
+            name: name.to_owned(),
+            reason,
+        }),
+    }
+}
+
 /// Runs one assay cold at one thread count, reading the per-stage times off
 /// the pipeline's telemetry spans.
 fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineRow, BenchError> {
@@ -136,7 +154,7 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
     let config = SynthesisConfig::default()
         .with_mixers(8)
         .with_parallelism(Parallelism::with_threads(threads));
-    let flow = SynthesisFlow::new(config);
+    let flow = SynthesisFlow::new(config.clone());
 
     let started = Instant::now();
     let (result, mut events) = telemetry::with_collection(|| flow.run(graph));
@@ -157,6 +175,7 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
             name: name.to_owned(),
             error,
         })?;
+    let (json_encode_seconds, json_decode_seconds) = time_handoff(name, config, &outcome)?;
 
     Ok(PipelineRow {
         assay: outcome.report.assay.clone(),
@@ -170,6 +189,8 @@ fn run_cold(name: &str, threads: usize, host_threads: usize) -> Result<PipelineR
         commit_seconds: span_seconds(&events, "route.commit"),
         layout_seconds: span_seconds(&events, "layout"),
         replay_seconds: span_seconds(&events, "replay"),
+        json_encode_seconds,
+        json_decode_seconds,
         total_seconds,
         undersubscribed: threads > host_threads,
         speedup_vs_single: None,
@@ -269,11 +290,11 @@ fn format_speedup(row: &PipelineRow) -> String {
 #[must_use]
 pub fn format_pipeline(rows: &[PipelineRow]) -> String {
     let mut out = String::from(
-        "assay     |O|     thr  t_sched(s)  t_place(s)  t_route(s)  t_win(s)    t_path(s)   t_commit(s)  t_layout(s)  t_replay(s)  total(s)  speedup  key\n",
+        "assay     |O|     thr  t_sched(s)  t_place(s)  t_route(s)  t_win(s)    t_path(s)   t_commit(s)  t_layout(s)  t_replay(s)  t_enc(s)  t_dec(s)  total(s)  speedup  key\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<9} {:<7} {:<4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<12.4} {:<12.4} {:<12.4} {:<9.4} {:<8} {}{}\n",
+            "{:<9} {:<7} {:<4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<11.4} {:<12.4} {:<12.4} {:<12.4} {:<9.4} {:<9.4} {:<9.4} {:<8} {}{}\n",
             r.assay,
             r.operations,
             r.threads,
@@ -285,6 +306,8 @@ pub fn format_pipeline(rows: &[PipelineRow]) -> String {
             r.commit_seconds,
             r.layout_seconds,
             r.replay_seconds,
+            r.json_encode_seconds,
+            r.json_decode_seconds,
             r.total_seconds,
             format_speedup(r),
             r.output_key,
@@ -298,11 +321,11 @@ pub fn format_pipeline(rows: &[PipelineRow]) -> String {
 #[must_use]
 pub fn pipeline_csv(rows: &[PipelineRow]) -> String {
     let mut out = String::from(
-        "assay,operations,threads,schedule_seconds,place_seconds,route_seconds,window_select_seconds,path_search_seconds,commit_seconds,layout_seconds,replay_seconds,total_seconds,undersubscribed,speedup_vs_single,output_key,grids_tried\n",
+        "assay,operations,threads,schedule_seconds,place_seconds,route_seconds,window_select_seconds,path_search_seconds,commit_seconds,layout_seconds,replay_seconds,json_encode_seconds,json_decode_seconds,total_seconds,undersubscribed,speedup_vs_single,output_key,grids_tried\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{}\n",
+            "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{}\n",
             r.assay,
             r.operations,
             r.threads,
@@ -314,6 +337,8 @@ pub fn pipeline_csv(rows: &[PipelineRow]) -> String {
             r.commit_seconds,
             r.layout_seconds,
             r.replay_seconds,
+            r.json_encode_seconds,
+            r.json_decode_seconds,
             r.total_seconds,
             r.undersubscribed,
             format_speedup(r),
@@ -381,6 +406,10 @@ mod tests {
                 r.total_seconds
             );
         }
+        // The hand-off document was encoded and decoded.
+        assert!(rows
+            .iter()
+            .all(|r| r.json_encode_seconds > 0.0 && r.json_decode_seconds > 0.0));
         let table = format_pipeline(&rows);
         assert!(table.contains("PCR"));
         let csv = pipeline_csv(&rows);

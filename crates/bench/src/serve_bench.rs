@@ -6,9 +6,9 @@
 //! The headline number is the warm/cold speedup — the factor a production
 //! deployment gains on repeated assays — written to `BENCH_serve.json`.
 
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-use biochip_json::impl_json_struct;
 use biochip_server::{client, ServeOptions, Server};
 
 /// The submission the bench replays: RA1K under the 8-mixer configuration
@@ -26,7 +26,7 @@ pub fn bench_submission() -> String {
 const JOB_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Results of one warm-vs-cold loopback run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeBenchReport {
     /// The assay submitted.
     pub assay: String,
@@ -49,19 +49,6 @@ pub struct ServeBenchReport {
     /// Cache misses observed by the server.
     pub cache_misses: usize,
 }
-
-impl_json_struct!(ServeBenchReport {
-    assay,
-    workers,
-    warm_jobs,
-    cold_seconds,
-    warm_seconds_per_job,
-    cold_jobs_per_sec,
-    warm_jobs_per_sec,
-    speedup,
-    cache_hits,
-    cache_misses,
-});
 
 /// Runs the warm-vs-cold loopback measurement.
 ///
@@ -182,7 +169,7 @@ pub fn format_serve(report: &ServeBenchReport) -> String {
 
 /// Results of the concurrent mixed cold/warm load phase (plus the overload
 /// and restart probes).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeLoadReport {
     /// Concurrent client threads, each with its own identity header.
     pub clients: usize,
@@ -230,41 +217,15 @@ pub struct ServeLoadReport {
     pub overload_5xx: usize,
 }
 
-impl_json_struct!(ServeLoadReport {
-    clients,
-    requests_per_client,
-    workers,
-    cold_jobs,
-    warm_submissions,
-    submit_p50_seconds,
-    submit_p90_seconds,
-    submit_p99_seconds,
-    submit_max_seconds,
-    status_2xx,
-    status_429,
-    status_4xx_other,
-    status_5xx,
-    io_errors,
-    retries,
-    error_rate,
-    restarted,
-    post_restart_warm_hits,
-    overload_429,
-    overload_accepted,
-    overload_5xx,
-});
-
 /// The full `BENCH_serve.json` payload: the warm-vs-cold headline plus the
 /// concurrent-load phase.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeBenchDoc {
     /// Warm-vs-cold single-stream measurement.
     pub warm_cold: ServeBenchReport,
     /// Concurrent mixed-load, restart and overload measurement.
     pub load: ServeLoadReport,
 }
-
-impl_json_struct!(ServeBenchDoc { warm_cold, load });
 
 /// The `q`-quantile of an unsorted latency sample (nearest-rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {

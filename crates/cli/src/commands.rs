@@ -373,7 +373,7 @@ fn stage_input(parsed: &ParsedArgs) -> Result<PipelineState, CliError> {
     let path = parsed
         .value("--in")
         .ok_or_else(|| CliError::usage("--in <state.json> is required".to_owned()))?;
-    PipelineState::from_json_text(&read_file(path)?, path)
+    Ok(PipelineState::from_json_text(&read_file(path)?, path)?)
 }
 
 const STAGE_SPECS: &[OptionSpec] = &[
@@ -915,6 +915,9 @@ fn cmd_bench(argv: &[String]) -> Result<(), CliError> {
             )?;
             let rows = biochip_bench::pipeline_rows(&assays, &threads)
                 .map_err(|e| CliError::runtime(format!("pipeline sweep failed: {e}")))?;
+            // Write the artifact before the identity gate so a failing run
+            // still leaves the evidence for CI to upload.
+            biochip_bench::write_bench_json("pipeline", &rows);
             biochip_bench::assert_thread_equality(&rows).map_err(|divergence| {
                 CliError::runtime(format!("DETERMINISM FAILURE: {divergence}"))
             })?;

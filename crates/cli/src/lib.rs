@@ -35,6 +35,14 @@ pub struct CliError {
     pub code: i32,
 }
 
+/// A message from a pipeline-state check (`require_*`, `from_json_text`)
+/// is a runtime failure.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::runtime(message)
+    }
+}
+
 impl CliError {
     /// A runtime failure (exit code 1).
     #[must_use]

@@ -193,21 +193,40 @@ fn help_is_available_everywhere() {
 
 #[test]
 fn bench_pipeline_honours_the_assay_list() {
-    let output = biochip(&[
-        "bench",
-        "pipeline",
-        "--assays",
-        "RA100",
-        "--threads",
-        "1",
-        "--format",
-        "csv",
-    ]);
+    let dir = tmp_path("bench-pipeline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_biochip"))
+        .args([
+            "bench",
+            "pipeline",
+            "--assays",
+            "RA100",
+            "--threads",
+            "1",
+            "--format",
+            "csv",
+        ])
+        .env("BIOCHIP_BENCH_DIR", &dir)
+        .output()
+        .expect("binary must spawn");
     assert_success(&output, "biochip bench pipeline");
     let csv = String::from_utf8_lossy(&output.stdout);
     let rows: Vec<&str> = csv.lines().skip(1).filter(|l| !l.is_empty()).collect();
     assert_eq!(rows.len(), 1, "{csv}");
     assert!(rows[0].starts_with("RA100,"), "{csv}");
+
+    // The artifact is written in the enveloped form the `pipeline` bin
+    // writes.
+    let artifact = std::fs::read_to_string(format!("{dir}/BENCH_pipeline.json")).unwrap();
+    let doc = biochip_json::parse(&artifact).unwrap();
+    assert_eq!(
+        doc.get("schema").unwrap().expect_str().unwrap(),
+        "biochip-bench/v1"
+    );
+    assert!(doc.get("commit").is_some());
+    let data = doc.get("data").unwrap().expect_array().unwrap();
+    assert_eq!(data.len(), 1);
+    assert!(data[0].get("json_decode_seconds").is_some());
 
     // The scheduler-only and place-and-route sweeps are folded into it.
     for target in ["scale", "arch"] {

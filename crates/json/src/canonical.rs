@@ -18,6 +18,15 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 #[derive(Debug, Clone)]
 struct Fnv(u64);
 
+/// Numbers are hashed in their printed form, written straight into the
+/// hasher.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl Fnv {
     fn new() -> Self {
         Fnv(FNV_OFFSET)
@@ -62,7 +71,7 @@ fn hash_into(value: &Json, hasher: &mut Fnv) {
             // Hash the printed form, not the raw bits: the printer is the
             // single source of truth for number identity (it collapses
             // 1.0 and 1, and maps non-finite values to null).
-            hasher.write(Json::Number(*n).to_compact().as_bytes());
+            crate::print::write_number(hasher, *n);
         }
         Json::String(s) => {
             hasher.write(b"\"");

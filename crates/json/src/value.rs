@@ -50,7 +50,7 @@ impl Json {
     /// Returns a [`JsonError`] if `self` is not an object or lacks the key.
     pub fn expect_field(&self, key: &str) -> Result<&Json, JsonError> {
         self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}` in {}", self.kind())))
+            .ok_or_else(|| JsonError::missing_field(key, self.kind()))
     }
 
     /// Looks up a key and deserializes it.
@@ -60,8 +60,25 @@ impl Json {
     /// Returns a [`JsonError`] if the field is missing or has the wrong shape;
     /// the error message names the field.
     pub fn field<T: crate::Deserialize>(&self, key: &str) -> Result<T, JsonError> {
-        T::from_json(self.expect_field(key)?)
-            .map_err(|e| JsonError::new(format!("field `{key}`: {e}")))
+        T::from_json(self.expect_field(key)?).map_err(|e| e.in_field(key))
+    }
+
+    /// Deserializes the value of `key`, or returns `default()` if the key is
+    /// absent (or `self` is not an object).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the field if its value has the wrong
+    /// shape.
+    pub fn field_or<T: crate::Deserialize>(
+        &self,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, JsonError> {
+        match self.get(key) {
+            Some(_) => self.field(key),
+            None => Ok(default()),
+        }
     }
 
     /// The elements if `self` is an array.
@@ -132,6 +149,17 @@ impl JsonError {
     #[must_use]
     pub fn new(message: impl Into<String>) -> Self {
         JsonError(message.into())
+    }
+
+    /// This error, as met while decoding the struct field `key`.
+    pub(crate) fn in_field(self, key: &str) -> Self {
+        JsonError(format!("field `{key}`: {}", self.0))
+    }
+
+    /// The error for a struct field absent from a value of kind `kind`.
+    #[must_use]
+    pub fn missing_field(key: &str, kind: &str) -> Self {
+        JsonError(format!("missing field `{key}` in {kind}"))
     }
 }
 

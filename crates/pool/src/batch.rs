@@ -8,12 +8,12 @@
 //! is [`crate::shard::ShardedPool`], which keeps the workers alive between
 //! submissions for the job service.
 
+use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use biochip_json::impl_json_struct;
 use biochip_synth::assay::SequencingGraph;
 use biochip_synth::{SynthesisConfig, SynthesisFlow, SynthesisReport};
 
@@ -31,7 +31,7 @@ pub struct BatchJob {
 }
 
 /// Terminal status of one batch job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobStatus {
     /// Synthesis completed.
     Ok,
@@ -41,14 +41,8 @@ pub enum JobStatus {
     Panicked,
 }
 
-biochip_json::impl_json_enum!(JobStatus {
-    Ok,
-    Error,
-    Panicked
-});
-
 /// Result of one batch job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchJobResult {
     /// Dense job id (matches submission order).
     pub id: usize,
@@ -70,20 +64,8 @@ pub struct BatchJobResult {
     pub worker: usize,
 }
 
-impl_json_struct!(BatchJobResult {
-    id,
-    assay,
-    mixers,
-    scheduler,
-    status,
-    error,
-    report,
-    wall_seconds,
-    worker,
-});
-
 /// Aggregate outcome of a whole batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchReport {
     /// Total number of jobs.
     pub jobs: usize,
@@ -101,16 +83,6 @@ pub struct BatchReport {
     /// Per-job results in submission order.
     pub results: Vec<BatchJobResult>,
 }
-
-impl_json_struct!(BatchReport {
-    jobs,
-    succeeded,
-    failed,
-    threads,
-    wall_seconds,
-    cpu_seconds,
-    results,
-});
 
 impl BatchReport {
     /// Results of failed jobs only.

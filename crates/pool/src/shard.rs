@@ -12,6 +12,7 @@
 //! `catch_unwind` and the panic is counted, mirroring the batch runner's
 //! per-job containment.
 
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,11 +20,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use biochip_json::impl_json_struct;
-
 /// Aggregate counters of a [`ShardedPool`], for `GET /stats` and
 /// `GET /metrics`.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PoolStats {
     /// Worker threads (= shards).
     pub workers: usize,
@@ -40,15 +39,6 @@ pub struct PoolStats {
     /// blocked on its empty queue accrues nothing.
     pub busy_seconds: Vec<f64>,
 }
-
-impl_json_struct!(PoolStats {
-    workers,
-    submitted,
-    completed,
-    panicked,
-    queued,
-    busy_seconds
-});
 
 struct Shard<T> {
     queue: Mutex<VecDeque<T>>,

@@ -14,17 +14,17 @@
 //! can resume the pipeline from the first divergent stage — or warm-start
 //! the architecture stage after a problem edit — instead of running cold.
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use biochip_json::impl_json_struct;
 use biochip_synth::arch::{Architecture, OracleCache};
 use biochip_synth::schedule::Schedule;
 use biochip_synth::{StageStore, SynthesisConfig, SynthesisOutcome, WarmHandoff};
 
 /// Counters the cache exposes through `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
     pub hits: usize,
@@ -37,14 +37,6 @@ pub struct CacheStats {
     /// Entries displaced by the LRU policy so far.
     pub evictions: usize,
 }
-
-impl_json_struct!(CacheStats {
-    hits,
-    misses,
-    entries,
-    capacity,
-    evictions
-});
 
 struct Inner<V> {
     /// key → (last-use tick, value). The tick is a monotonically increasing
@@ -169,7 +161,7 @@ impl<V> ResultCache<V> {
 }
 
 /// Counters of the warm-start handoff slots, exposed through `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WarmStats {
     /// Hint lookups that found a handoff for the assay.
     pub hits: usize,
@@ -179,14 +171,8 @@ pub struct WarmStats {
     pub entries: usize,
 }
 
-impl_json_struct!(WarmStats {
-    hits,
-    misses,
-    entries
-});
-
 /// Routing-oracle cache counters, the `oracle` block of the stage stats.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct OracleStats {
     /// Oracles built from scratch (cache misses).
     pub builds: usize,
@@ -196,14 +182,8 @@ pub struct OracleStats {
     pub entries: usize,
 }
 
-impl_json_struct!(OracleStats {
-    builds,
-    hits,
-    entries
-});
-
 /// Counters of every staged cache, the `stage_cache` block of `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageCachesStats {
     /// Schedule-stage artifact cache (keyed by schedule stage key).
     pub schedule: CacheStats,
@@ -215,13 +195,6 @@ pub struct StageCachesStats {
     /// placement).
     pub oracle: OracleStats,
 }
-
-impl_json_struct!(StageCachesStats {
-    schedule,
-    architecture,
-    warm,
-    oracle
-});
 
 /// The job service's per-stage artifact store: schedule and architecture
 /// LRU caches under their chained stage keys, plus the latest warm-start

@@ -29,17 +29,18 @@
 //! jobs keep their terminal record; everything else re-enqueues. The
 //! journal is then compacted so it does not grow across restarts.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use biochip_json::{impl_json_struct, Json, Serialize};
+use biochip_json::Json;
 use biochip_store::{DiskStore, Journal, StoreStats};
 
 use crate::jobs::{JobState, ResultDoc};
 
 /// Journal and recovery counters for `/stats`, `/metrics` and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct JournalStats {
     /// Whether a journal is attached (`false` without `--data-dir`).
     pub enabled: bool,
@@ -62,18 +63,6 @@ pub struct JournalStats {
     /// submission payload on record) and were marked failed.
     pub lost: u64,
 }
-
-impl_json_struct!(JournalStats {
-    enabled,
-    available,
-    appends,
-    append_errors,
-    replayed,
-    corrupt_lines,
-    recovered,
-    requeued,
-    lost,
-});
 
 /// One job reconstructed from the journal at startup.
 pub(crate) enum RecoveredJob {
@@ -312,7 +301,7 @@ impl Durable {
     /// Write-through: persists a result under its content key.
     pub fn store_put(&self, key: &str, result: &ResultDoc) {
         if let Some(store) = &self.store {
-            store.put(key, &result.to_json());
+            store.put(key, result);
         }
     }
 

@@ -1,14 +1,15 @@
 //! Job records and the in-memory job store.
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use biochip_json::{impl_json_struct, Json, Serialize};
+use biochip_json::Json;
 use biochip_synth::sim::ExecutionReport;
 use biochip_synth::{FlowController, SynthesisReport};
 
 /// Lifecycle state of one submitted job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
@@ -21,14 +22,6 @@ pub enum JobState {
     /// Cancelled before completion.
     Cancelled,
 }
-
-biochip_json::impl_json_enum!(JobState {
-    Queued,
-    Running,
-    Done,
-    Failed,
-    Cancelled
-});
 
 impl JobState {
     /// Lowercase name used in status documents.
@@ -45,7 +38,7 @@ impl JobState {
 }
 
 /// The document `GET /results/:id` returns (and the value the cache holds).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultDoc {
     /// Format version tag, currently [`ResultDoc::SCHEMA`].
     pub schema: String,
@@ -63,14 +56,6 @@ impl ResultDoc {
     /// The current result-document schema tag.
     pub const SCHEMA: &'static str = "biochip-serve/v1";
 }
-
-impl_json_struct!(ResultDoc {
-    schema,
-    assay,
-    key,
-    report,
-    execution,
-});
 
 /// One submitted job as tracked by the store.
 #[derive(Debug)]

@@ -1,5 +1,6 @@
 //! The job service: routing, submission, worker handoff and stats.
 
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -7,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use biochip_json::{impl_json_struct, Json, Serialize};
+use biochip_json::Json;
 use biochip_pool::{PoolStats, ShardedPool};
 use biochip_synth::assay::library;
 use biochip_synth::schedule::ScheduleProblem;
@@ -73,7 +74,7 @@ impl Default for ServeOptions {
 }
 
 /// Admission-control counters and limits, part of `GET /stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdmissionStats {
     /// Cold submissions answered `429` because the queue was full.
     pub rejected_queue_full: usize,
@@ -87,16 +88,8 @@ pub struct AdmissionStats {
     pub max_inflight_per_client: usize,
 }
 
-impl_json_struct!(AdmissionStats {
-    rejected_queue_full,
-    rejected_client_quota,
-    rejected_draining,
-    max_queue_depth,
-    max_inflight_per_client,
-});
-
 /// Aggregate service counters, the body of `GET /stats`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Seconds since the server started.
     pub uptime_seconds: f64,
@@ -138,27 +131,6 @@ pub struct ServeStats {
     /// Whether the server is draining (shutting down gracefully).
     pub draining: bool,
 }
-
-impl_json_struct!(ServeStats {
-    uptime_seconds,
-    jobs_accepted,
-    jobs_queued,
-    jobs_running,
-    jobs_done,
-    jobs_failed,
-    jobs_cancelled,
-    jobs_cached,
-    jobs_warm_started,
-    warm_placements_reused,
-    warm_tasks_replayed,
-    cache,
-    stage_cache,
-    pool,
-    store,
-    journal,
-    admission,
-    draining,
-});
 
 /// Request-latency bucket bounds in seconds. Most of the API answers from
 /// in-memory state in well under a millisecond; the long tail is `POST

@@ -7,7 +7,7 @@ use biochip_assay::Seconds;
 use biochip_schedule::{Schedule, ScheduleProblem};
 
 /// Result of replaying a synthesized chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ExecutionReport {
     /// Execution time of the schedule itself (`t_E`).
     pub schedule_makespan: Seconds,
@@ -28,29 +28,12 @@ pub struct ExecutionReport {
     /// graph has dependencies, ...) and had to be clamped. A healthy
     /// pipeline always produces `false`; `true` means a routing regression
     /// is hiding upstream and must not be masked by the clamp.
+    ///
+    /// Reports written before the field existed lack it, and the schema tag
+    /// of the surrounding pipeline document is unchanged
+    /// (`biochip-pipeline/v1`), so an absent `clamped` reads as `false`.
+    #[serde(default)]
     pub clamped: bool,
-}
-
-/// Deserialization is manual rather than derived so that execution reports
-/// written before the `clamped` field existed still load: the schema tag of
-/// the surrounding pipeline document is unchanged (`biochip-pipeline/v1`),
-/// so a missing `clamped` key must read as `false`, not as a shape error.
-impl Deserialize for ExecutionReport {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        Ok(ExecutionReport {
-            schedule_makespan: value.field("schedule_makespan")?,
-            effective_makespan: value.field("effective_makespan")?,
-            transports: value.field("transports")?,
-            channel_cached_samples: value.field("channel_cached_samples")?,
-            total_channel_storage_time: value.field("total_channel_storage_time")?,
-            peak_channel_storage: value.field("peak_channel_storage")?,
-            clamped: match value.get("clamped") {
-                Some(raw) => Deserialize::from_json(raw)
-                    .map_err(|e| serde::JsonError::new(format!("field `clamped`: {e}")))?,
-                None => false,
-            },
-        })
-    }
 }
 
 /// The maximum number of intervals `[from, until)` active at one instant.
@@ -287,6 +270,13 @@ mod tests {
         let report: ExecutionReport = Deserialize::from_json(&legacy).unwrap();
         assert!(!report.clamped);
         assert_eq!(report.schedule_makespan, 100);
+        // The streaming reader defaults the field the same way.
+        let text = legacy.to_compact();
+        assert_eq!(biochip_json::from_str::<ExecutionReport>(&text), Ok(report));
+        // A present `clamped` of the wrong kind is an error naming it.
+        let bad = text.replacen('{', "{\"clamped\":1,", 1);
+        let err = biochip_json::from_str::<ExecutionReport>(&bad).unwrap_err();
+        assert!(err.to_string().contains("clamped"), "{err}");
 
         // A report written by this binary round-trips the flag.
         let mut current = report;

@@ -16,6 +16,7 @@
 //! and embedded key) and quarantine anything that does not parse, so a
 //! corrupted entry is exactly a cache miss plus a counter bump.
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -24,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
-use biochip_json::{impl_json_struct, Json};
+use biochip_json::{Json, Writer};
 
 /// Envelope schema tag; bump on incompatible layout changes. Entries carrying
 /// any other tag are quarantined as corrupt rather than misread.
@@ -34,7 +35,7 @@ pub const STORE_SCHEMA: &str = "biochip-store/v1";
 const MAX_KEY_LEN: usize = 64;
 
 /// Counters and gauges for `/stats`, `/metrics` and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StoreStats {
     /// Whether a store is attached at all (`false` for the placeholder
     /// rendered when `serve` runs without `--data-dir`).
@@ -58,19 +59,6 @@ pub struct StoreStats {
     /// Writes that failed and were dropped (store flips to unavailable).
     pub write_errors: u64,
 }
-
-impl_json_struct!(StoreStats {
-    enabled,
-    available,
-    entries,
-    bytes,
-    capacity_bytes,
-    hits,
-    misses,
-    corrupt,
-    evictions,
-    write_errors,
-});
 
 /// Per-entry index record.
 struct Entry {
@@ -240,18 +228,23 @@ impl DiskStore {
     /// On any I/O failure the write is dropped, `write_errors` is bumped and
     /// the store flips to unavailable; a later successful write flips it
     /// back. Inserting may evict least-recently-used entries to stay under
-    /// the byte budget.
-    pub fn put(&self, key: &str, payload: &Json) {
+    /// the byte budget. The envelope is written straight to text around the
+    /// payload, without copying it into a tree.
+    pub fn put<T: Serialize + ?Sized>(&self, key: &str, payload: &T) {
         if !valid_key(key) {
             self.with_index(|ix| ix.write_errors += 1);
             return;
         }
-        let envelope = Json::object([
-            ("schema", Json::String(STORE_SCHEMA.to_owned())),
-            ("key", Json::String(key.to_owned())),
-            ("payload", payload.clone()),
-        ]);
-        let text = envelope.to_pretty();
+        let mut w = Writer::pretty();
+        w.begin_object();
+        w.key("schema");
+        w.string(STORE_SCHEMA);
+        w.key("key");
+        w.string(key);
+        w.key("payload");
+        payload.write_json(&mut w);
+        w.end_object();
+        let text = w.into_string();
         let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
         let tmp = self.tmp_dir.join(format!("{key}.{nonce}.tmp"));
         if let Err(err) = write_atomic(&tmp, &self.entry_path(key), text.as_bytes()) {
@@ -398,9 +391,14 @@ fn parse_envelope(text: &str, key: &str) -> Result<Json, &'static str> {
         Some(Ok(_)) => return Err("envelope key does not match file name"),
         _ => return Err("missing key field"),
     }
-    match value.get("payload") {
-        Some(payload) => Ok(payload.clone()),
-        None => Err("missing payload"),
+    // Move the payload out of the envelope; the first `payload` member
+    // wins, as with `Json::get`.
+    match value {
+        Json::Object(pairs) => pairs
+            .into_iter()
+            .find_map(|(k, v)| (k == "payload").then_some(v))
+            .ok_or("missing payload"),
+        _ => Err("missing payload"),
     }
 }
 

@@ -39,12 +39,7 @@ pub enum SchedulerChoice {
 }
 
 /// Configuration of the end-to-end flow.
-///
-/// `Deserialize` is hand-written (not derived) so that documents from
-/// before intra-job parallelism existed — which lack the `parallelism`
-/// field — still load: those jobs were sequential, which is exactly the
-/// default the field falls back to.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisConfig {
     /// Number of mixers on the chip.
     pub mixers: usize,
@@ -73,6 +68,10 @@ pub struct SynthesisConfig {
     /// how many cores a cold run uses — and is therefore excluded from the
     /// job service's content keys (a result computed at any thread count
     /// answers submissions at every other).
+    ///
+    /// Documents from before intra-job parallelism existed lack the field;
+    /// those jobs were sequential, which is exactly the default.
+    #[serde(default)]
     pub parallelism: Parallelism,
 }
 
@@ -92,29 +91,6 @@ impl Default for SynthesisConfig {
             layout: LayoutOptions::default(),
             parallelism: Parallelism::default(),
         }
-    }
-}
-
-impl serde::Deserialize for SynthesisConfig {
-    fn from_json(value: &serde::Json) -> Result<Self, serde::JsonError> {
-        Ok(SynthesisConfig {
-            mixers: value.field("mixers")?,
-            detectors: value.field("detectors")?,
-            heaters: value.field("heaters")?,
-            transport_time: value.field("transport_time")?,
-            alpha: value.field("alpha")?,
-            beta: value.field("beta")?,
-            scheduler: value.field("scheduler")?,
-            ilp_time_limit: value.field("ilp_time_limit")?,
-            ilp_threshold: value.field("ilp_threshold")?,
-            synthesis: value.field("synthesis")?,
-            layout: value.field("layout")?,
-            // Absent in pre-parallelism documents: those ran sequentially.
-            parallelism: match value.get("parallelism") {
-                Some(raw) => serde::Deserialize::from_json(raw)?,
-                None => Parallelism::default(),
-            },
-        })
     }
 }
 
@@ -393,7 +369,7 @@ impl FlowController {
 }
 
 /// Everything the flow produces for one assay.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisOutcome {
     /// The scheduling problem (assay plus device inventory).
     pub problem: ScheduleProblem,
@@ -793,6 +769,8 @@ mod tests {
         }
         let back: SynthesisConfig = serde::Deserialize::from_json(&json).unwrap();
         assert_eq!(back, SynthesisConfig::default());
+        let streamed: SynthesisConfig = biochip_json::from_str(&json.to_compact()).unwrap();
+        assert_eq!(streamed, back);
         assert_eq!(back.parallelism, Parallelism::sequential());
         assert_eq!(back.synthesis.placement.starts, 1);
     }

@@ -34,6 +34,7 @@
 mod flow;
 mod report;
 mod stages;
+mod state;
 
 pub use flow::{
     FlowController, FlowError, FlowStage, SchedulerChoice, StageTiming, SynthesisConfig,
@@ -43,6 +44,7 @@ pub use report::SynthesisReport;
 pub use stages::{
     MemoryStageStore, NoStageStore, ReuseKind, StageKeys, StageReuse, StageStore, WarmHandoff,
 };
+pub use state::{PipelineState, StageTimings};
 
 /// Re-export of the architectural-synthesis crate.
 pub use biochip_arch as arch;
