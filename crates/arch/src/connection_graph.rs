@@ -1,6 +1,6 @@
 //! The synthesis result: a planar connection graph plus the routed paths.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -348,61 +348,66 @@ impl Architecture {
         // Conflicts between concurrently occupied paths, checked per
         // resource: two paths can only collide on an edge (or interior node)
         // that both of them use, so it suffices to sort each resource's
-        // occupations by window start and sweep for overlaps — linear in the
-        // total path length instead of quadratic in the number of routes.
-        // BTreeMaps so that when several resources conflict, *which* one is
-        // reported is deterministic (the error text can reach serialized
-        // failure reports).
-        let mut edge_usage: BTreeMap<GridEdgeId, Vec<(Interval, usize)>> = BTreeMap::new();
-        let mut node_usage: BTreeMap<NodeId, Vec<(Interval, usize)>> = BTreeMap::new();
-        for (i, route) in self.routes.iter().enumerate() {
-            let window = route.path.window;
-            if window.is_empty() {
-                continue;
-            }
-            for &edge in &route.path.edges {
-                edge_usage.entry(edge).or_default().push((window, i));
-            }
-            if route.path.nodes.len() > 2 {
-                for &node in &route.path.nodes[1..route.path.nodes.len() - 1] {
-                    node_usage.entry(node).or_default().push((window, i));
-                }
-            }
-        }
-        let sweep = |usage: &mut Vec<(Interval, usize)>| -> Option<(usize, usize)> {
-            usage.sort_unstable_by_key(|(w, i)| (w.start, w.end, *i));
-            let mut frontier: Option<(Interval, usize)> = None;
-            for &(window, i) in usage.iter() {
+        // occupations by window start and sweep for overlaps. Occupations
+        // are bucketed per resource by a counting sort on its dense index,
+        // and resources are visited in ascending id, so when several
+        // conflict, *which* one is reported is deterministic (the error text
+        // can reach serialized failure reports).
+        let occupied = || {
+            self.routes
+                .iter()
+                .enumerate()
+                .filter(|(_, route)| !route.path.window.is_empty())
+        };
+        let mut edge_usage = Buckets::new(
+            grid.num_edges(),
+            occupied().flat_map(|(i, route)| route.path.edges.iter().map(move |e| (e.index(), i))),
+        );
+        let mut node_usage = Buckets::new(
+            grid.num_nodes(),
+            occupied().flat_map(|(i, route)| {
+                let nodes = &route.path.nodes;
+                let interior = nodes.get(1..nodes.len().saturating_sub(1)).unwrap_or(&[]);
+                interior.iter().map(move |n| (n.index(), i))
+            }),
+        );
+        let window = |i: u32| self.routes[i as usize].path.window;
+        let sweep = |usage: &mut [u32]| -> Option<(usize, usize)> {
+            usage.sort_unstable_by_key(|&i| (window(i).start, window(i).end, i));
+            let mut frontier: Option<(Interval, u32)> = None;
+            for &i in usage.iter() {
                 if let Some((held, holder)) = frontier {
                     // A route may touch the same resource twice in its own
                     // window (hand-built paths); only cross-route overlaps
                     // are conflicts, matching the old pairwise check.
-                    if window.start < held.end && holder != i {
-                        return Some((holder, i));
+                    if window(i).start < held.end && holder != i {
+                        return Some((holder as usize, i as usize));
                     }
                 }
-                if frontier.is_none_or(|(held, _)| window.end > held.end) {
-                    frontier = Some((window, i));
+                if frontier.is_none_or(|(held, _)| window(i).end > held.end) {
+                    frontier = Some((window(i), i));
                 }
             }
             None
         };
-        for (edge, usage) in &mut edge_usage {
-            if let Some((a, b)) = sweep(usage) {
+        for edge in 0..grid.num_edges() {
+            if let Some((a, b)) = sweep(edge_usage.get_mut(edge)) {
                 return Err(ArchError::Inconsistent {
                     reason: format!(
-                        "edge {edge} shared by concurrent paths ({} / {})",
+                        "edge {} shared by concurrent paths ({} / {})",
+                        GridEdgeId(edge),
                         self.routes[a].task.describe(),
                         self.routes[b].task.describe()
                     ),
                 });
             }
         }
-        for (node, usage) in &mut node_usage {
-            if let Some((a, b)) = sweep(usage) {
+        for node in 0..grid.num_nodes() {
+            if let Some((a, b)) = sweep(node_usage.get_mut(node)) {
                 return Err(ArchError::Inconsistent {
                     reason: format!(
-                        "node {node} shared by concurrent paths ({} / {})",
+                        "node {} shared by concurrent paths ({} / {})",
+                        NodeId(node),
                         self.routes[a].task.describe(),
                         self.routes[b].task.describe()
                     ),
@@ -412,7 +417,7 @@ impl Architecture {
 
         // Storage exclusivity: no path may use a cached segment while the
         // sample rests in it. Only the paths that traverse the cached
-        // segment (already grouped in `edge_usage`) need checking.
+        // segment (already bucketed in `edge_usage`) need checking.
         for (i, store) in self.routes.iter().enumerate() {
             let (Some(cache), Some((from, until))) =
                 (store.cache_edge, store.task.storage_interval)
@@ -423,8 +428,9 @@ impl Architecture {
                 continue;
             }
             let storage = Interval::new(from, until);
-            for &(window, other) in edge_usage.get(&cache).map_or(&[][..], Vec::as_slice) {
-                if other != i && window.overlaps(&storage) {
+            for &other in edge_usage.get_mut(cache.index()).iter() {
+                let other = other as usize;
+                if other != i && self.routes[other].path.window.overlaps(&storage) {
                     return Err(ArchError::Inconsistent {
                         reason: format!(
                             "segment {cache} is used by {} while caching sample {}",
@@ -437,16 +443,50 @@ impl Architecture {
         }
 
         // Kept edges = union of path edges.
-        let mut union: BTreeSet<GridEdgeId> = BTreeSet::new();
+        let mut kept = vec![false; grid.num_edges()];
         for route in &self.routes {
-            union.extend(route.path.edges.iter().copied());
+            for edge in &route.path.edges {
+                kept[edge.index()] = true;
+            }
         }
-        if &union != self.connection_graph.used_edges() {
+        let used = self.connection_graph.used_edges();
+        let union_size = kept.iter().filter(|&&k| k).count();
+        if union_size != used.len() || !used.iter().all(|e| kept.get(e.index()) == Some(&true)) {
             return Err(ArchError::Inconsistent {
                 reason: "kept-edge set does not match the union of path edges".to_owned(),
             });
         }
         Ok(())
+    }
+}
+
+/// Route indices grouped by a dense resource index: one flat array, filled
+/// by a counting sort, with each resource's slice in route order.
+struct Buckets {
+    starts: Vec<usize>,
+    routes: Vec<u32>,
+}
+
+impl Buckets {
+    fn new(resources: usize, uses: impl Iterator<Item = (usize, usize)> + Clone) -> Self {
+        let mut starts = vec![0; resources + 1];
+        for (resource, _) in uses.clone() {
+            starts[resource + 1] += 1;
+        }
+        for r in 0..resources {
+            starts[r + 1] += starts[r];
+        }
+        let mut next = starts.clone();
+        let mut routes = vec![0; starts[resources]];
+        for (resource, route) in uses {
+            routes[next[resource]] = route as u32;
+            next[resource] += 1;
+        }
+        Buckets { starts, routes }
+    }
+
+    fn get_mut(&mut self, resource: usize) -> &mut [u32] {
+        &mut self.routes[self.starts[resource]..self.starts[resource + 1]]
     }
 }
 
@@ -588,6 +628,137 @@ mod tests {
         let cg = ConnectionGraph::new(grid, placement, vec![e]);
         let arch = Architecture::new(cg, vec![route]);
         assert!(matches!(arch.verify(), Err(ArchError::Inconsistent { .. })));
+    }
+
+    /// A route along `nodes` of a 7×7 grid (ids `row * 7 + col`), occupied
+    /// during `[start, end)`.
+    fn route_along(
+        grid: &ConnectionGrid,
+        sample: usize,
+        (from, to): (usize, usize),
+        kind: TransportKind,
+        nodes: &[usize],
+        (start, end): (u64, u64),
+    ) -> RoutedTransport {
+        let nodes: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+        let edges: Vec<GridEdgeId> = nodes
+            .windows(2)
+            .map(|pair| grid.edge_between(pair[0], pair[1]).unwrap())
+            .collect();
+        let cache_edge = match kind {
+            TransportKind::Store => edges.last().copied(),
+            TransportKind::Fetch => edges.first().copied(),
+            TransportKind::Direct => None,
+        };
+        RoutedTransport {
+            task: TransportTask {
+                sample,
+                producer: OpId(sample),
+                consumer: OpId(sample + 100),
+                from_device: DeviceId(from),
+                to_device: DeviceId(to),
+                kind,
+                window_start: start,
+                window_end: end,
+                storage_interval: (kind == TransportKind::Store).then_some((end, 20)),
+                earliest_start: start,
+                deadline: end,
+            },
+            path: RoutedPath {
+                nodes,
+                edges,
+                window: Interval::new(start, end),
+            },
+            cache_edge,
+        }
+    }
+
+    #[test]
+    fn verify_reports_the_lowest_conflicting_resource_first() {
+        use TransportKind::{Direct, Store};
+        let grid = ConnectionGrid::square(7);
+        let placement = Placement::from_nodes(
+            [0, 1, 3, 4, 22, 24, 16, 30, 25, 27, 19, 33, 42, 45]
+                .into_iter()
+                .map(NodeId)
+                .collect(),
+        );
+        let edge = |a: usize, b: usize| grid.edge_between(NodeId(a), NodeId(b)).unwrap();
+        // Listed before the lower-id conflicts, so route order cannot
+        // decide which is reported.
+        let edge_high = [
+            route_along(&grid, 2, (2, 3), Direct, &[3, 4], (0, 5)),
+            route_along(&grid, 3, (2, 3), Direct, &[3, 4], (3, 8)),
+        ];
+        let edge_low = [
+            route_along(&grid, 0, (0, 1), Direct, &[0, 1], (0, 5)),
+            route_along(&grid, 1, (0, 1), Direct, &[0, 1], (3, 8)),
+        ];
+        // Two crossings: paths that share an interior node but no edge.
+        let node_high = [
+            route_along(&grid, 6, (8, 9), Direct, &[25, 26, 27], (0, 5)),
+            route_along(&grid, 7, (10, 11), Direct, &[19, 26, 33], (2, 6)),
+        ];
+        let node_low = [
+            route_along(&grid, 4, (4, 5), Direct, &[22, 23, 24], (0, 5)),
+            route_along(&grid, 5, (6, 7), Direct, &[16, 23, 30], (2, 6)),
+        ];
+        // A sample cached on e(43, 44) from t = 2 while another path
+        // crosses that segment at t = 5.
+        let storage = [
+            route_along(&grid, 8, (12, 13), Store, &[42, 43, 44], (0, 2)),
+            route_along(&grid, 9, (13, 12), Direct, &[45, 44, 43, 42], (5, 8)),
+        ];
+        assert!(edge(0, 1) < edge(3, 4));
+        let verify = |groups: &[&[RoutedTransport]]| {
+            let routes: Vec<RoutedTransport> = groups.concat();
+            let kept: Vec<GridEdgeId> = routes
+                .iter()
+                .flat_map(|r| r.path.edges.iter().copied())
+                .collect();
+            let cg = ConnectionGraph::new(grid.clone(), placement.clone(), kept);
+            match Architecture::new(cg, routes).verify() {
+                Err(ArchError::Inconsistent { reason }) => reason,
+                other => panic!("expected a conflict, got {other:?}"),
+            }
+        };
+        let pair = |routes: &[RoutedTransport]| {
+            format!(
+                "({} / {})",
+                routes[0].task.describe(),
+                routes[1].task.describe()
+            )
+        };
+
+        let all: [&[RoutedTransport]; 5] = [&edge_high, &edge_low, &node_high, &node_low, &storage];
+        assert_eq!(
+            verify(&all),
+            format!(
+                "edge {} shared by concurrent paths {}",
+                edge(0, 1),
+                pair(&edge_low)
+            )
+        );
+        assert_eq!(
+            verify(&all[2..]),
+            format!("node n23 shared by concurrent paths {}", pair(&node_low))
+        );
+        assert_eq!(
+            verify(&all[4..]),
+            format!(
+                "segment {} is used by {} while caching sample 8",
+                edge(43, 44),
+                storage[1].task.describe()
+            )
+        );
+        let cg = ConnectionGraph::new(
+            grid.clone(),
+            placement.clone(),
+            storage[0].path.edges.clone(),
+        );
+        assert!(Architecture::new(cg, vec![storage[0].clone()])
+            .verify()
+            .is_ok());
     }
 
     #[test]

@@ -89,6 +89,10 @@ pub(crate) struct PairIndex {
 #[derive(Debug, Default)]
 pub(crate) struct SegmentIndex {
     lists: HashMap<(usize, usize), Rc<PairIndex>>,
+    /// The pair-independent part of each edge's static score (its
+    /// placement penalty), `None` for excluded segments. Built on first
+    /// use: the grid, placement and options are fixed for one router.
+    penalties: Option<Vec<Option<u64>>>,
 }
 
 impl SegmentIndex {
@@ -106,34 +110,81 @@ impl SegmentIndex {
         if let Some(list) = self.lists.get(&key) {
             return Rc::clone(list);
         }
+        let penalties = self
+            .penalties
+            .get_or_insert_with(|| edge_penalties(grid, placement, allow_device_adjacent));
         let from_node = placement.node_of(from);
         let to_node = placement.node_of(to);
-        let mut is_device = vec![false; grid.num_nodes()];
-        for &node in placement.device_nodes() {
-            is_device[node.index()] = true;
-        }
-        let touches_port = |node: NodeId| {
-            grid.incident_edges(node)
-                .iter()
-                .any(|&e| is_device[grid.other_endpoint(e, node).index()])
-        };
-        let scale_grid = grid.rows().max(grid.cols()) >= SCALE_GRID_SIDE;
-        let cluster = cluster_box(grid, placement);
-        let in_cluster = |node: NodeId| {
-            let c = grid.coord(node);
-            c.row >= cluster.0 && c.row <= cluster.1 && c.col >= cluster.2 && c.col <= cluster.3
-        };
-        let mut sorted: Vec<(u64, GridEdgeId)> = Vec::new();
         let mut score_of: Vec<Option<u64>> = vec![None; grid.num_edges()];
+        let mut max_score = 0;
         for edge in grid.edges() {
-            let (x, y) = grid.endpoints(edge);
-            let touches_device = is_device[x.index()] || is_device[y.index()];
-            if touches_device && !allow_device_adjacent {
+            let Some(penalty) = penalties[edge.index()] else {
                 continue;
-            }
+            };
+            let (x, y) = grid.endpoints(edge);
             let distance = (grid.distance(from_node, x).min(grid.distance(from_node, y))
                 + grid.distance(to_node, x).min(grid.distance(to_node, y)))
                 as u64;
+            let score = distance * 4 + penalty;
+            score_of[edge.index()] = Some(score);
+            max_score = max_score.max(score);
+        }
+        // Counting sort on the small integer score. Edges are placed in id
+        // order, so equal scores keep ascending ids: exactly `(score, edge)`
+        // order.
+        let mut next = vec![0usize; max_score as usize + 2];
+        for &score in score_of.iter().flatten() {
+            next[score as usize + 1] += 1;
+        }
+        for s in 1..next.len() {
+            next[s] += next[s - 1];
+        }
+        let mut sorted = vec![(0, GridEdgeId(0)); next[next.len() - 1]];
+        for (edge, score) in score_of.iter().enumerate() {
+            if let Some(score) = *score {
+                let slot = &mut next[score as usize];
+                sorted[*slot] = (score, GridEdgeId(edge));
+                *slot += 1;
+            }
+        }
+        let index = Rc::new(PairIndex {
+            sorted: sorted.into(),
+            score_of,
+        });
+        self.lists.insert(key, Rc::clone(&index));
+        index
+    }
+}
+
+/// The placement penalty of every edge's static score, `None` for a
+/// device-adjacent segment when the fallback is disabled.
+fn edge_penalties(
+    grid: &ConnectionGrid,
+    placement: &Placement,
+    allow_device_adjacent: bool,
+) -> Vec<Option<u64>> {
+    let mut is_device = vec![false; grid.num_nodes()];
+    for &node in placement.device_nodes() {
+        is_device[node.index()] = true;
+    }
+    let touches_port = |node: NodeId| {
+        grid.incident_edges(node)
+            .iter()
+            .any(|&e| is_device[grid.other_endpoint(e, node).index()])
+    };
+    let scale_grid = grid.rows().max(grid.cols()) >= SCALE_GRID_SIDE;
+    let cluster = cluster_box(grid, placement);
+    let in_cluster = |node: NodeId| {
+        let c = grid.coord(node);
+        c.row >= cluster.0 && c.row <= cluster.1 && c.col >= cluster.2 && c.col <= cluster.3
+    };
+    grid.edges()
+        .map(|edge| {
+            let (x, y) = grid.endpoints(edge);
+            let touches_device = is_device[x.index()] || is_device[y.index()];
+            if touches_device && !allow_device_adjacent {
+                return None;
+            }
             let mut penalty = if touches_device {
                 DEVICE_ADJACENT_PENALTY
             } else {
@@ -150,18 +201,9 @@ impl SegmentIndex {
                     penalty += OFF_COMB_PENALTY;
                 }
             }
-            let score = distance * 4 + penalty;
-            score_of[edge.index()] = Some(score);
-            sorted.push((score, edge));
-        }
-        sorted.sort_unstable();
-        let index = Rc::new(PairIndex {
-            sorted: sorted.into(),
-            score_of,
-        });
-        self.lists.insert(key, Rc::clone(&index));
-        index
-    }
+            Some(penalty)
+        })
+        .collect()
 }
 
 /// Bounding box `(min_row, max_row, min_col, max_col)` of the placed

@@ -4,9 +4,9 @@
 //! bytes that happened to arrive: two submissions that serialize the same
 //! `(problem, config)` pair must map to the same cache entry even if their
 //! object keys were ordered differently or the documents were formatted
-//! differently. [`canonicalize`] produces the canonical form (object keys
-//! sorted recursively) and [`canonical_hash`] folds it into a 64-bit FNV-1a
-//! digest without materializing the canonical text.
+//! differently. [`canonical_hash`] folds the canonical form (object keys
+//! sorted recursively, everything else unchanged) into a 64-bit FNV-1a
+//! digest without materializing it.
 
 use crate::{Json, Serialize};
 
@@ -37,25 +37,6 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
-    }
-}
-
-/// Returns the canonical form of a JSON value: object keys sorted
-/// (recursively), everything else unchanged. Arrays keep their order —
-/// JSON arrays are sequences, their order is meaning.
-#[must_use]
-pub fn canonicalize(value: &Json) -> Json {
-    match value {
-        Json::Object(pairs) => {
-            let mut sorted: Vec<(String, Json)> = pairs
-                .iter()
-                .map(|(k, v)| (k.clone(), canonicalize(v)))
-                .collect();
-            sorted.sort_by(|(a, _), (b, _)| a.cmp(b));
-            Json::Object(sorted)
-        }
-        Json::Array(items) => Json::Array(items.iter().map(canonicalize).collect()),
-        other => other.clone(),
     }
 }
 
@@ -167,7 +148,6 @@ mod tests {
         let a = parse(r#"{"x": 1, "y": {"b": 2, "a": 3}}"#).unwrap();
         let b = parse(r#"{"y": {"a": 3, "b": 2}, "x": 1}"#).unwrap();
         assert_ne!(a, b);
-        assert_eq!(canonicalize(&a), canonicalize(&b));
         assert_eq!(canonical_hash(&a), canonical_hash(&b));
     }
 

@@ -54,9 +54,7 @@ mod print;
 mod traits;
 mod value;
 
-pub use canonical::{
-    canonical_hash, canonicalize, chain_key, content_key, content_key_hex, key_hex,
-};
+pub use canonical::{canonical_hash, chain_key, content_key, content_key_hex, key_hex};
 pub use parse::{parse, Kind, Reader};
 pub use print::Writer;
 pub use traits::{Deserialize, Serialize};

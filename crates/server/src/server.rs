@@ -107,6 +107,9 @@ pub struct ServeStats {
     pub jobs_cancelled: usize,
     /// Jobs answered from the result cache.
     pub jobs_cached: usize,
+    /// Of those, submissions resolved from the key memo by their body's
+    /// digest: byte-identical resubmissions answered without parsing.
+    pub body_memo_hits: usize,
     /// Jobs that shortcut the architecture stage with a warm-start hint
     /// (prior placement adopted and/or a routed prefix replayed).
     pub jobs_warm_started: usize,
@@ -133,8 +136,10 @@ pub struct ServeStats {
 }
 
 /// Request-latency bucket bounds in seconds. Most of the API answers from
-/// in-memory state in well under a millisecond; the long tail is `POST
-/// /jobs` hashing a multi-megabyte problem document.
+/// in-memory state in well under a millisecond, and so does a byte-identical
+/// resubmission (a body digest and a memo lookup); the long tail is the
+/// first `POST /jobs` of a multi-megabyte problem document, which is parsed,
+/// validated and canonically hashed.
 const REQUEST_BOUNDS: &[f64] = &[
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 ];
@@ -225,12 +230,28 @@ struct QueuedJob {
     client: Option<String>,
 }
 
-/// Memoized content key of a `(named assay, config)` submission.
-struct NameKeyMemo {
+/// A submission identity the key memo knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum MemoIdentity {
+    /// A named library assay under one config: `(canonical name, config
+    /// key)`.
+    Named(&'static str, u64),
+    /// The keyed digest of a request body that parsed, validated and
+    /// resolved (see [`ServerState::body_digest`]).
+    Body(u128),
+}
+
+/// Memoized content key and display name of a submission identity.
+struct KeyMemo {
     key: u64,
     hex: String,
     assay: String,
 }
+
+/// The key memo's entry cap. Distinct identities are few in practice; the
+/// cap only guards against a client sweeping configs or bodies to grow the
+/// map.
+const KEY_MEMO_CAP: usize = 1024;
 
 /// Everything the connection threads and the worker pool share.
 struct ServerState {
@@ -247,12 +268,19 @@ struct ServerState {
     warm_tasks_replayed: AtomicU64,
     /// Per-job placement-start threads (clamped; see [`ServeOptions`]).
     threads_per_job: usize,
-    /// `"<CANONICAL>:<config key>"` → content key. Named submissions of a
-    /// scale assay would otherwise regenerate and canonically hash a
-    /// multi-thousand-op problem document on every request — with the memo
-    /// a warm hit costs two table lookups. Explicit `problem` submissions
-    /// always hash their document (the document *is* the identity).
-    name_keys: std::sync::Mutex<std::collections::HashMap<String, NameKeyMemo>>,
+    /// Submission identity → content key. A named identity spares named
+    /// submissions of a scale assay from regenerating and canonically
+    /// hashing a multi-thousand-op problem document on every request. A
+    /// body identity lets a byte-identical resubmission of any document
+    /// skip parsing, decoding, validation and hashing altogether: a warm
+    /// hit costs one digest of the body and two table lookups. Bodies are
+    /// memoized only once they resolved, so errors are always recomputed.
+    key_memo: std::sync::Mutex<std::collections::HashMap<MemoIdentity, KeyMemo>>,
+    /// Per-process SipHash keys of [`ServerState::body_digest`]. Random and
+    /// never persisted, so a client cannot aim a collision.
+    digest_keys: [std::collections::hash_map::RandomState; 2],
+    /// Submissions answered through a body identity of the key memo.
+    body_memo_hits: AtomicU64,
     started: Instant,
     metrics: Metrics,
     /// The durability layer: on-disk result store + job journal (both
@@ -273,20 +301,89 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Locks the name-key memo, recovering from poisoning: the map is
-    /// consistent after any single `HashMap` call, and losing a memo entry
-    /// at worst re-hashes one submission — never worth failing requests
-    /// for.
-    fn lock_name_keys(
+    /// Fresh state for a server with these options; `threads_per_job` is
+    /// already clamped.
+    fn new(options: &ServeOptions, threads_per_job: usize, durable: Durable) -> ServerState {
+        ServerState {
+            jobs: JobStore::default(),
+            cache: ResultCache::new(options.cache_capacity),
+            stages: StageCaches::new(options.cache_capacity),
+            cached_hits: AtomicU64::new(0),
+            warm_jobs: AtomicU64::new(0),
+            warm_placements: AtomicU64::new(0),
+            warm_tasks_replayed: AtomicU64::new(0),
+            threads_per_job,
+            key_memo: std::sync::Mutex::new(std::collections::HashMap::new()),
+            digest_keys: Default::default(),
+            body_memo_hits: AtomicU64::new(0),
+            started: Instant::now(),
+            metrics: Metrics::new(),
+            durable,
+            draining: AtomicBool::new(false),
+            max_queue_depth: options.max_queue_depth.max(1),
+            max_inflight_per_client: options.max_inflight_per_client.max(1),
+            clients: std::sync::Mutex::new(std::collections::HashMap::new()),
+            rejected_queue_full: AtomicU64::new(0),
+            rejected_client_quota: AtomicU64::new(0),
+            rejected_draining: AtomicU64::new(0),
+        }
+    }
+
+    /// Locks the key memo, recovering from poisoning: the map is consistent
+    /// after any single `HashMap` call, and losing a memo entry at worst
+    /// re-hashes one submission — never worth failing requests for.
+    fn lock_key_memo(
         &self,
-    ) -> std::sync::MutexGuard<'_, std::collections::HashMap<String, NameKeyMemo>> {
-        self.name_keys
+    ) -> std::sync::MutexGuard<'_, std::collections::HashMap<MemoIdentity, KeyMemo>> {
+        self.key_memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// The memoized `(content key, display name)` of an identity.
+    fn memo_get(&self, identity: MemoIdentity) -> Option<(u64, String, String)> {
+        self.lock_key_memo()
+            .get(&identity)
+            .map(|known| (known.key, known.hex.clone(), known.assay.clone()))
+    }
+
+    /// Memoizes an identity's content key, clearing the memo at its cap.
+    fn memoize(&self, identity: MemoIdentity, key: u64, hex: &str, assay: &str) {
+        let mut memo = self.lock_key_memo();
+        if memo.len() >= KEY_MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(
+            identity,
+            KeyMemo {
+                key,
+                hex: hex.to_owned(),
+                assay: assay.to_owned(),
+            },
+        );
+    }
+
+    /// A 128-bit digest of a request body under this process's keys.
+    fn body_digest(&self, body: &[u8]) -> u128 {
+        use std::hash::BuildHasher;
+        let [high, low] = &self.digest_keys;
+        (u128::from(high.hash_one(body)) << 64) | u128::from(low.hash_one(body))
+    }
+
+    /// A cached result: the memory cache first, then the disk store (results
+    /// that survived a restart or aged out of the memory LRU), whose hits
+    /// are promoted back into memory.
+    fn warm_result(&self, key_hex: &str) -> Option<Arc<ResultDoc>> {
+        if let Some(result) = self.cache.get(key_hex) {
+            return Some(result);
+        }
+        let result = self.durable.store_get(key_hex)?;
+        self.cache.insert(key_hex, Arc::clone(&result));
+        Some(result)
+    }
+
     /// Locks the per-client in-flight map (same poison-recovery rationale
-    /// as the name-key memo: the map is consistent after any single call).
+    /// as the key memo: the map is consistent after any single call).
     fn lock_clients(&self) -> std::sync::MutexGuard<'_, std::collections::HashMap<String, usize>> {
         self.clients
             .lock()
@@ -404,27 +501,7 @@ impl Server {
             }
             None => (Durable::disabled(), None),
         };
-        let state = Arc::new(ServerState {
-            jobs: JobStore::default(),
-            cache: ResultCache::new(options.cache_capacity),
-            stages: StageCaches::new(options.cache_capacity),
-            cached_hits: AtomicU64::new(0),
-            warm_jobs: AtomicU64::new(0),
-            warm_placements: AtomicU64::new(0),
-            warm_tasks_replayed: AtomicU64::new(0),
-            threads_per_job,
-            name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
-            started: Instant::now(),
-            metrics: Metrics::new(),
-            durable,
-            draining: AtomicBool::new(false),
-            max_queue_depth: options.max_queue_depth.max(1),
-            max_inflight_per_client: options.max_inflight_per_client.max(1),
-            clients: std::sync::Mutex::new(std::collections::HashMap::new()),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_client_quota: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-        });
+        let state = Arc::new(ServerState::new(options, threads_per_job, durable));
         let pool = {
             let state = Arc::clone(&state);
             ShardedPool::new(workers, move |worker, job: QueuedJob| {
@@ -1007,37 +1084,21 @@ fn resolve_key(submission: Submission, state: &ServerState) -> Result<ResolvedJo
     Ok(match submission {
         Submission::Named { canonical, config } => {
             let config_key = biochip_json::canonical_hash(&config_identity_json(&config));
-            let memo_key = format!("{canonical}:{config_key:016x}");
-            {
-                let memo = state.lock_name_keys();
-                if let Some(known) = memo.get(&memo_key) {
-                    return Ok(ResolvedJob {
-                        key: known.key,
-                        key_hex: known.hex.clone(),
-                        assay: known.assay.clone(),
-                        config,
-                        problem: None,
-                        canonical: Some(canonical),
-                    });
-                }
+            let identity = MemoIdentity::Named(canonical, config_key);
+            if let Some((key, key_hex, assay)) = state.memo_get(identity) {
+                return Ok(ResolvedJob {
+                    key,
+                    key_hex,
+                    assay,
+                    config,
+                    problem: None,
+                    canonical: Some(canonical),
+                });
             }
             let problem = named_problem(canonical, &config)?;
             let (key, hex) = submission_key(&problem, &config);
             let assay = problem.graph().name().to_owned();
-            let mut memo = state.lock_name_keys();
-            // Distinct (assay, config) pairs are few in practice; the cap
-            // only guards against a client sweeping configs to grow the map.
-            if memo.len() >= 1024 {
-                memo.clear();
-            }
-            memo.insert(
-                memo_key,
-                NameKeyMemo {
-                    key,
-                    hex: hex.clone(),
-                    assay: assay.clone(),
-                },
-            );
+            state.memoize(identity, key, &hex, &assay);
             ResolvedJob {
                 key,
                 key_hex: hex,
@@ -1132,6 +1193,15 @@ fn submit(request: &Request, shared: &Shared) -> (u16, String) {
             ),
         );
     }
+    // A byte-identical resubmission resolves from the memo without parsing.
+    let digest = shared.state.body_digest(&request.body);
+    let memoized = shared.state.memo_get(MemoIdentity::Body(digest));
+    if let Some((_, key_hex, assay)) = &memoized {
+        if let Some(result) = shared.state.warm_result(key_hex) {
+            shared.state.body_memo_hits.fetch_add(1, Ordering::Relaxed);
+            return answer_warm(shared, key_hex.clone(), assay.clone(), result, started);
+        }
+    }
     let submission = match parse_submission(&request.body) {
         Ok(parsed) => parsed,
         Err(message) => return (400, error_body(400, &message)),
@@ -1148,16 +1218,15 @@ fn submit(request: &Request, shared: &Shared) -> (u16, String) {
         Err(message) => return (500, error_body(500, &message)),
     };
 
-    // Warm tier 1: the in-memory result cache.
-    if let Some(result) = shared.state.cache.get(&key_hex) {
-        return answer_warm(shared, key_hex, assay, result, started);
-    }
-
-    // Warm tier 2: the on-disk store (results that survived a restart or
-    // aged out of the memory LRU). A hit is promoted back into memory.
-    if let Some(result) = shared.state.durable.store_get(&key_hex) {
-        shared.state.cache.insert(&key_hex, Arc::clone(&result));
-        return answer_warm(shared, key_hex, assay, result, started);
+    // Warm tiers: the memory cache, then the disk store. A memo hit has
+    // already probed both under this same key.
+    if memoized.is_none() {
+        shared
+            .state
+            .memoize(MemoIdentity::Body(digest), key, &key_hex, &assay);
+        if let Some(result) = shared.state.warm_result(&key_hex) {
+            return answer_warm(shared, key_hex, assay, result, started);
+        }
     }
 
     // Cold path: admission control. Bounded queue depth first, then the
@@ -1304,7 +1373,11 @@ fn job_result(id: u64, shared: &Shared) -> (u16, String) {
         .state
         .jobs
         .with(id, |job| match (&job.state, &job.result) {
-            (JobState::Done, Some(result)) => (200, result.to_json().to_pretty()),
+            (JobState::Done, Some(result)) => {
+                let mut body = biochip_json::Writer::pretty();
+                result.write_json(&mut body);
+                (200, body.into_string())
+            }
             (JobState::Failed | JobState::Cancelled, _) => (
                 409,
                 error_body(
@@ -1406,6 +1479,13 @@ fn metrics_text(shared: &Shared) -> String {
         "counter",
         "Result-cache lookups that found a live entry",
         &[(plain(), cache.hits as f64)],
+    );
+    push_metric(
+        &mut out,
+        "biochip_body_memo_hits_total",
+        "counter",
+        "Submissions answered by resolving their body's digest in the key memo",
+        &[(plain(), state.body_memo_hits.load(Ordering::Relaxed) as f64)],
     );
     push_metric(
         &mut out,
@@ -1729,6 +1809,7 @@ fn stats(shared: &Shared) -> ServeStats {
         jobs_failed: counts.failed,
         jobs_cancelled: counts.cancelled,
         jobs_cached: state.cached_hits.load(Ordering::Relaxed) as usize,
+        body_memo_hits: state.body_memo_hits.load(Ordering::Relaxed) as usize,
         jobs_warm_started: state.warm_jobs.load(Ordering::Relaxed) as usize,
         warm_placements_reused: state.warm_placements.load(Ordering::Relaxed) as usize,
         warm_tasks_replayed: state.warm_tasks_replayed.load(Ordering::Relaxed) as usize,
@@ -1928,27 +2009,13 @@ mod tests {
     use super::*;
 
     fn test_state() -> ServerState {
-        ServerState {
-            jobs: JobStore::default(),
-            cache: ResultCache::new(4),
-            stages: StageCaches::new(4),
-            cached_hits: AtomicU64::new(0),
-            warm_jobs: AtomicU64::new(0),
-            warm_placements: AtomicU64::new(0),
-            warm_tasks_replayed: AtomicU64::new(0),
-            threads_per_job: 1,
-            name_keys: std::sync::Mutex::new(std::collections::HashMap::new()),
-            started: Instant::now(),
-            metrics: Metrics::new(),
-            durable: Durable::disabled(),
-            draining: AtomicBool::new(false),
+        let options = ServeOptions {
+            cache_capacity: 4,
             max_queue_depth: 4,
             max_inflight_per_client: 2,
-            clients: std::sync::Mutex::new(std::collections::HashMap::new()),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_client_quota: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-        }
+            ..ServeOptions::default()
+        };
+        ServerState::new(&options, 1, Durable::disabled())
     }
 
     #[test]
@@ -1966,16 +2033,47 @@ mod tests {
         assert_eq!(state.rejected_client_quota.load(Ordering::Relaxed), 1);
     }
 
+    /// A one-worker server around [`test_state`], driven by calling
+    /// [`submit`] directly.
+    fn test_shared() -> Shared {
+        let state = Arc::new(test_state());
+        let pool = {
+            let state = Arc::clone(&state);
+            ShardedPool::new(1, move |worker, job: QueuedJob| {
+                run_job(&state, worker, job)
+            })
+        };
+        Shared {
+            state,
+            pool,
+            next_id: AtomicU64::new(1),
+            handle: ServerHandle {
+                addr: std::net::SocketAddr::from(([127, 0, 0, 1], 9)),
+                stopping: Arc::new(AtomicBool::new(false)),
+            },
+        }
+    }
+
+    fn post(shared: &Shared, body: &str) -> (u16, String) {
+        let request = Request {
+            method: "POST".to_owned(),
+            path: "/jobs".to_owned(),
+            body: body.as_bytes().to_vec(),
+            client: Some("test".to_owned()),
+        };
+        submit(&request, shared)
+    }
+
     #[test]
-    fn a_poisoned_name_key_memo_recovers_and_keeps_memoizing() {
+    fn a_poisoned_key_memo_recovers_and_keeps_memoizing() {
         let state = Arc::new(test_state());
         let poisoner = Arc::clone(&state);
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.name_keys.lock().unwrap();
+            let _guard = poisoner.key_memo.lock().unwrap();
             panic!("poison the memo mutex");
         })
         .join();
-        assert!(state.name_keys.lock().is_err(), "mutex should be poisoned");
+        assert!(state.key_memo.lock().is_err(), "mutex should be poisoned");
         // Resolution recovers the guard: it hashes, memoizes, and the
         // second resolution takes the memo fast path (no rebuilt problem).
         let config = SynthesisConfig::default();
@@ -2001,6 +2099,60 @@ mod tests {
             second.problem.is_none(),
             "memo fast path must hit despite the earlier poison"
         );
+        // Body identities share the recovered memo.
+        let body = MemoIdentity::Body(state.body_digest(br#"{"assay": "PCR"}"#));
+        assert_eq!(state.memo_get(body), None);
+        state.memoize(body, first.key, &first.key_hex, &first.assay);
+        assert_eq!(
+            state.memo_get(body),
+            Some((first.key, first.key_hex.clone(), first.assay.clone()))
+        );
+    }
+
+    #[test]
+    fn body_digests_are_keyed_per_process_and_tell_bodies_apart() {
+        let (one, other) = (test_state(), test_state());
+        let body = br#"{"assay": "PCR"}"#;
+        assert_eq!(one.body_digest(body), one.body_digest(body));
+        assert_ne!(
+            one.body_digest(body),
+            one.body_digest(br#"{"assay":"PCR"}"#)
+        );
+        assert_ne!(one.body_digest(b""), one.body_digest(b" "));
+        assert_ne!(
+            one.body_digest(body),
+            other.body_digest(body),
+            "each server draws its own digest keys"
+        );
+    }
+
+    #[test]
+    fn bad_bodies_are_never_memoized() {
+        let shared = test_shared();
+        for body in [
+            "this is not json",
+            r#"{"assay": "NOPE"}"#,
+            r#"{"problem": {"wrong": "shape"}}"#,
+            r#"{"surprise": 1}"#,
+        ] {
+            let first = post(&shared, body);
+            assert_eq!(first.0, 400, "{body}: {}", first.1);
+            assert_eq!(post(&shared, body), first, "{body}");
+        }
+        assert!(shared.state.lock_key_memo().is_empty());
+        assert_eq!(shared.state.body_memo_hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_key_memo_is_capped() {
+        let state = test_state();
+        for i in 0..KEY_MEMO_CAP as u128 + 1 {
+            state.memoize(MemoIdentity::Body(i), 0, "0", "a");
+        }
+        assert!(state.lock_key_memo().len() <= KEY_MEMO_CAP);
+        assert!(state
+            .memo_get(MemoIdentity::Body(KEY_MEMO_CAP as u128))
+            .is_some());
     }
 
     #[test]

@@ -262,13 +262,15 @@ fn admission_control_answers_structured_429s_with_retry_after() {
         ..ServeOptions::default()
     });
 
-    // A slow cold job occupies the lone worker.
+    // A slow cold job occupies the lone worker. RA10K takes seconds even in
+    // release builds; RA1K (tens of milliseconds) could finish before the
+    // three submissions below land when other tests load the cores.
     let blocker = client::request_with(
         addr,
         "POST",
         "/jobs",
         &[("x-biochip-client", "alice")],
-        Some(r#"{"assay": "RA1K"}"#),
+        Some(r#"{"assay": "RA10K"}"#),
     )
     .unwrap();
     assert_eq!(blocker.status, 202, "{}", blocker.body);
@@ -347,7 +349,7 @@ fn admission_control_answers_structured_429s_with_retry_after() {
         "POST",
         "/jobs",
         &[("x-biochip-client", "alice")],
-        Some(r#"{"assay": "RA1K"}"#),
+        Some(r#"{"assay": "RA10K"}"#),
     )
     .unwrap();
     assert_eq!(warm.status, 201, "{}", warm.body);

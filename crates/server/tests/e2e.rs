@@ -254,6 +254,109 @@ fn equivalent_submissions_share_one_cache_entry() {
     join.join().unwrap();
 }
 
+/// A problem-document submission of a library assay under the storage-aware
+/// scheduler (fast on small assays), as compact text.
+fn problem_body(assay: &str) -> String {
+    let config = biochip_synth::SynthesisConfig {
+        scheduler: biochip_synth::SchedulerChoice::StorageAware,
+        ..biochip_synth::SynthesisConfig::default()
+    };
+    let graph = biochip_synth::assay::library::by_name(assay).unwrap();
+    let problem = biochip_synth::SynthesisFlow::new(config.clone()).problem_for(graph);
+    format!(
+        r#"{{"problem": {}, "config": {}}}"#,
+        biochip_json::to_string(&problem),
+        biochip_json::to_string(&config)
+    )
+}
+
+/// One number of the `/stats` document.
+fn stat(addr: SocketAddr, path: &str) -> f64 {
+    let (status, body) = client::get(addr, "/stats").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let stats = biochip_json::parse(&body).unwrap();
+    path.split('.')
+        .try_fold(&stats, |doc, key| doc.get(key))
+        .unwrap_or_else(|| panic!("no `{path}` in /stats: {body}"))
+        .expect_number()
+        .unwrap()
+}
+
+#[test]
+fn byte_identical_resubmissions_answer_from_the_body_memo() {
+    let (addr, handle, join) = start_server(1);
+    let body = problem_body("PCR");
+    let first = client::submit(addr, &body).unwrap();
+    wait_done(addr, &first);
+    let key = first.get("key").unwrap().expect_str().unwrap();
+    assert_eq!(stat(addr, "body_memo_hits"), 0.0);
+
+    // The same bytes again: a 201 resolved from the memo.
+    let (status, answer) = client::post_json(addr, "/jobs", &body).unwrap();
+    assert_eq!(status, 201, "{answer}");
+    let answer = biochip_json::parse(&answer).unwrap();
+    assert_eq!(answer.get("key").unwrap().expect_str().unwrap(), key);
+    assert_eq!(stat(addr, "body_memo_hits"), 1.0);
+    let (_, metrics) = client::get(addr, "/metrics").unwrap();
+    assert!(
+        metrics.contains("biochip_body_memo_hits_total 1\n"),
+        "{metrics}"
+    );
+
+    // An equal document in other bytes misses the memo but still hits the
+    // result cache under the same content key.
+    let reformatted = biochip_json::parse(&body).unwrap().to_pretty();
+    assert_ne!(reformatted, body);
+    let (status, answer) = client::post_json(addr, "/jobs", &reformatted).unwrap();
+    assert_eq!(status, 201, "{answer}");
+    let answer = biochip_json::parse(&answer).unwrap();
+    assert_eq!(answer.get("key").unwrap().expect_str().unwrap(), key);
+    assert_eq!(answer.get("cached"), Some(&biochip_json::Json::Bool(true)));
+    assert_eq!(stat(addr, "body_memo_hits"), 1.0);
+    assert_eq!(stat(addr, "jobs_cached"), 2.0);
+
+    handle.stop();
+    join.join().unwrap();
+}
+
+#[test]
+fn a_memo_hit_whose_result_is_gone_runs_cold_under_the_same_key() {
+    // One memory-cache entry and no disk store: a second assay evicts the
+    // first one's result.
+    let server = Server::bind(&ServeOptions {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        cache_capacity: 1,
+        ..ServeOptions::default()
+    })
+    .expect("loopback bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    let join = std::thread::spawn(move || server.run());
+
+    let body = problem_body("PCR");
+    let first = client::submit(addr, &body).unwrap();
+    wait_done(addr, &first);
+    wait_done(addr, &client::submit(addr, &problem_body("IVD")).unwrap());
+    assert_eq!(stat(addr, "cache.evictions"), 1.0);
+
+    let again = client::submit(addr, &body).unwrap();
+    assert_eq!(
+        again.get("cached"),
+        Some(&biochip_json::Json::Bool(false)),
+        "{}",
+        again.to_compact()
+    );
+    assert_eq!(again.get("key"), first.get("key"));
+    wait_done(addr, &again);
+    assert_eq!(stat(addr, "body_memo_hits"), 0.0);
+    // One counted miss per cold submission, however it was resolved.
+    assert_eq!(stat(addr, "cache.misses"), 3.0);
+
+    handle.stop();
+    join.join().unwrap();
+}
+
 #[test]
 fn config_edits_reuse_cached_stages_and_warm_start() {
     let (addr, handle, join) = start_server(1);
@@ -510,6 +613,7 @@ fn jobs_report_live_stages_and_can_be_cancelled() {
 /// `(series, dotted /stats path)`.
 const SHARED_SERIES: &[(&str, &str)] = &[
     ("biochip_cache_hits_total", "cache.hits"),
+    ("biochip_body_memo_hits_total", "body_memo_hits"),
     ("biochip_cache_misses_total", "cache.misses"),
     ("biochip_cache_evictions_total", "cache.evictions"),
     ("biochip_cache_entries", "cache.entries"),
@@ -656,6 +760,7 @@ fn stats_and_metrics_agree_on_every_shared_series() {
     let value = |name: &str| series[name];
     assert_eq!(value("biochip_cache_hits_total"), 1.0);
     assert_eq!(value("biochip_cache_misses_total"), 1.0);
+    assert_eq!(value("biochip_body_memo_hits_total"), 1.0);
     assert_eq!(value("biochip_jobs{state=\"done\"}"), 2.0);
     assert_eq!(value("biochip_store_entries"), 1.0);
     assert!(value("biochip_journal_appends_total") > 0.0);
