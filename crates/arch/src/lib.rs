@@ -64,7 +64,6 @@ mod connection_graph;
 mod dedicated;
 mod error;
 mod grid;
-mod ilp_route;
 mod oracle;
 mod parallel;
 mod placement;
@@ -79,7 +78,6 @@ pub use connection_graph::{Architecture, ConnectionGraph, RoutedTransport};
 pub use dedicated::{dedicated_storage_valves, DedicatedStorageUnit};
 pub use error::ArchError;
 pub use grid::{ConnectionGrid, GridCoord, GridEdgeId, NodeId};
-pub use ilp_route::{route_with_ilp, IlpRoutingProblem};
 pub use oracle::{OracleCache, RoutingOracle};
 pub use parallel::Parallelism;
 pub use placement::{place_devices, Placement, PlacementOptions};
