@@ -201,7 +201,7 @@ impl RoutingOracle {
 }
 
 /// Cache key: the architecture identity an oracle is valid for. `scope` is
-/// the placement-stage content key when a [`StageStore`] provides one (so
+/// the placement-stage content key when the cache is shared across runs (so
 /// distinct problems can never collide), plus the grid shape and the exact
 /// device placement.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -213,7 +213,7 @@ struct OracleKey {
 }
 
 /// Shared build-once store of [`RoutingOracle`]s, keyed by architecture
-/// identity. One lives inside the server's `StageCaches` (so concurrent and
+/// identity. One lives inside each `biochip_synth::StageCaches` (so concurrent and
 /// warm jobs on the same architecture share one build); synthesis runs
 /// without a store fall back to a private instance, which still shares the
 /// build across a run's strict/relaxed passes and repeated grid attempts.
@@ -230,8 +230,10 @@ pub struct OracleCache {
 
 /// Entry ceiling: an architecture oracle is a few hundred KB at storage
 /// scale, and a server mixes at most a handful of live grid shapes. On
-/// overflow the map is cleared wholesale (same policy as the warm-start
-/// store) — correctness never depends on a hit.
+/// overflow the map is cleared wholesale — correctness never depends on a
+/// hit. It is the one cache map that still clears at its cap instead of
+/// evicting least-recently-used, because it builds under its lock (see
+/// [`OracleCache`]) and so does not fit the lookup-then-insert LRU.
 const ORACLE_CACHE_CAPACITY: usize = 64;
 
 impl OracleCache {

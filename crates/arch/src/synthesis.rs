@@ -181,7 +181,7 @@ fn placement_inputs_equal(a: &PlacementOptions, b: &PlacementOptions) -> bool {
 }
 
 /// Where a synthesis run gets its [`RoutingOracle`](crate::RoutingOracle)s
-/// from: an externally shared [`OracleCache`] (the server's `StageCaches`
+/// from: an externally shared [`OracleCache`] (`biochip_synth::StageCaches`
 /// provides one, scoped by the placement-stage content key) or, by default,
 /// a private per-run cache. Either way the build is amortized across the
 /// run's grid attempts and strict/relaxed passes; the external cache

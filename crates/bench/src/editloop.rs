@@ -2,11 +2,12 @@
 //!
 //! The interactive design loop the staged cache exists for: synthesize an
 //! assay once, then apply one small edit at a time and resynthesize. Each
-//! edit runs **twice** — cold (empty store, the baseline an uncached server
-//! would pay) and warm (against a [`biochip_synth::MemoryStageStore`]
-//! primed by the previous runs, the path `biochip serve` takes) — and the
-//! row records both wall times, the per-stage reuse the warm run achieved
-//! ([`biochip_synth::StageReuse`]) and, crucially, both `output_key`s.
+//! edit runs **twice** — cold (no store, the baseline an uncached server
+//! would pay) and warm (against a [`biochip_synth::StageCaches`] primed by
+//! the previous runs and sized like `biochip serve`'s default, so the sweep
+//! runs the store the server runs) — and the row records both wall times,
+//! the per-stage reuse the warm run achieved ([`biochip_synth::StageReuse`])
+//! and, crucially, both `output_key`s.
 //!
 //! **The keys must match byte-for-byte.** Warm starts are a shortcut to the
 //! same answer, never a different one; [`assert_editloop_identity`] is the
@@ -32,10 +33,9 @@
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
+use biochip_server::ServeOptions;
 use biochip_synth::assay::{library, SequencingGraph};
-use biochip_synth::{
-    FlowController, MemoryStageStore, NoStageStore, StageReuse, SynthesisConfig, SynthesisFlow,
-};
+use biochip_synth::{FlowController, StageCaches, StageReuse, SynthesisConfig, SynthesisFlow};
 
 use crate::BenchError;
 
@@ -57,7 +57,7 @@ pub struct EditLoopRow {
     pub edit: String,
     /// Edit index within the sweep (seeds the op pick and config deltas).
     pub seed: usize,
-    /// Wall seconds of the cold run (empty stage store).
+    /// Wall seconds of the cold run (no stage store).
     pub cold_seconds: f64,
     /// Wall seconds of the warm run (store primed by the previous runs).
     pub warm_seconds: f64,
@@ -141,23 +141,28 @@ fn edited_input(
     (config, graph)
 }
 
-/// Runs one `(config, graph)` input against `store`, returning the outcome
-/// key, the reuse receipt and the wall seconds.
+/// Runs one `(config, graph)` input against `store` (cold without one),
+/// returning the outcome key, the reuse receipt and the wall seconds.
 fn run_once(
     name: &str,
     config: &SynthesisConfig,
     graph: SequencingGraph,
-    store: &dyn biochip_synth::StageStore,
+    store: Option<&StageCaches>,
 ) -> Result<(String, StageReuse, f64), BenchError> {
     let flow = SynthesisFlow::new(config.clone());
     let problem = flow.problem_for(graph);
+    let controller = FlowController::new();
     let started = Instant::now();
-    let (outcome, reuse) = flow
-        .run_problem_staged(problem, &FlowController::new(), store)
-        .map_err(|error| BenchError::Synthesis {
-            name: name.to_owned(),
-            error,
-        })?;
+    let (outcome, reuse) = match store {
+        Some(store) => flow.run_problem_staged(problem, &controller, store),
+        None => flow
+            .run_problem_with(problem, &controller)
+            .map(|outcome| (outcome, StageReuse::default())),
+    }
+    .map_err(|error| BenchError::Synthesis {
+        name: name.to_owned(),
+        error,
+    })?;
     let seconds = started.elapsed().as_secs_f64();
     Ok((outcome.output_key(), reuse, seconds))
 }
@@ -180,14 +185,14 @@ pub fn editloop_rows(assays: &[&str], edits: usize) -> Result<Vec<EditLoopRow>, 
         // resolves to the deterministic storage-aware heuristic — a
         // precondition for byte-identical warm/cold comparison.
         let config = SynthesisConfig::default().with_mixers(8);
-        let store = MemoryStageStore::new();
-        run_once(name, &config, graph.clone(), &store)?;
+        let store = StageCaches::new(ServeOptions::default().cache_capacity);
+        run_once(name, &config, graph.clone(), Some(&store))?;
         for seed in 0..edits {
             let (edited_config, edited_graph) = edited_input(&config, &graph, seed);
             let (cold_key, _, cold_seconds) =
-                run_once(name, &edited_config, edited_graph.clone(), &NoStageStore)?;
+                run_once(name, &edited_config, edited_graph.clone(), None)?;
             let (warm_key, reuse, warm_seconds) =
-                run_once(name, &edited_config, edited_graph, &store)?;
+                run_once(name, &edited_config, edited_graph, Some(&store))?;
             rows.push(EditLoopRow {
                 assay: name.to_owned(),
                 edit: edit_kind(seed).to_owned(),

@@ -14,8 +14,11 @@
 //! * **Content-addressed result cache** — results are cached under the
 //!   canonical hash of the `(problem, config)` pair
 //!   ([`biochip_json::content_key_hex`]); resubmitting the same assay is a
-//!   lookup, not a pipeline run. `GET /stats` exposes hit/miss/eviction
-//!   counters.
+//!   lookup, not a pipeline run. A full-key miss resumes from the
+//!   per-stage caches and warm hints of [`biochip_synth::StageCaches`].
+//!   The result cache, the stage caches, the warm hints and the key memo
+//!   are each a [`biochip_synth::ResultCache`] LRU; `GET /stats` exposes
+//!   their hit/miss/eviction counters.
 //! * **Job lifecycle** — `GET /jobs/:id` reports
 //!   queued/running/done/failed/cancelled plus the live pipeline stage of
 //!   a running synthesis ([`biochip_synth::FlowController`]);
@@ -42,7 +45,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod durable;
 pub mod http;
@@ -51,7 +53,6 @@ pub mod server;
 #[allow(unsafe_code)]
 pub mod signals;
 
-pub use cache::{CacheStats, ResultCache, StageCaches, StageCachesStats, WarmStats};
 pub use durable::JournalStats;
 pub use jobs::{JobRecord, JobState, JobStore, ResultDoc};
 pub use server::{

@@ -12,10 +12,12 @@ use biochip_json::Json;
 use biochip_pool::{PoolStats, ShardedPool};
 use biochip_synth::assay::library;
 use biochip_synth::schedule::ScheduleProblem;
-use biochip_synth::{FlowController, FlowError, ReuseKind, SynthesisConfig, SynthesisFlow};
+use biochip_synth::{
+    CacheStats, FlowController, FlowError, ResultCache, ReuseKind, StageCaches, StageCachesStats,
+    SynthesisConfig, SynthesisFlow,
+};
 use biochip_telemetry as telemetry;
 
-use crate::cache::{CacheStats, ResultCache, StageCaches, StageCachesStats};
 use crate::durable::{Durable, JournalStats, RecoveredJob};
 use crate::http::{
     read_request, write_json_response, write_response, write_response_with, HttpError, Request,
@@ -249,14 +251,14 @@ struct KeyMemo {
 }
 
 /// The key memo's entry cap. Distinct identities are few in practice; the
-/// cap only guards against a client sweeping configs or bodies to grow the
-/// map.
+/// LRU bound only guards against a client sweeping configs or bodies to
+/// grow the map.
 const KEY_MEMO_CAP: usize = 1024;
 
 /// Everything the connection threads and the worker pool share.
 struct ServerState {
     jobs: JobStore,
-    cache: ResultCache<ResultDoc>,
+    cache: ResultCache<String, ResultDoc>,
     /// Stage artifacts + warm handoffs consulted when the full key misses.
     stages: StageCaches,
     cached_hits: AtomicU64,
@@ -275,7 +277,7 @@ struct ServerState {
     /// skip parsing, decoding, validation and hashing altogether: a warm
     /// hit costs one digest of the body and two table lookups. Bodies are
     /// memoized only once they resolved, so errors are always recomputed.
-    key_memo: std::sync::Mutex<std::collections::HashMap<MemoIdentity, KeyMemo>>,
+    key_memo: ResultCache<MemoIdentity, KeyMemo>,
     /// Per-process SipHash keys of [`ServerState::body_digest`]. Random and
     /// never persisted, so a client cannot aim a collision.
     digest_keys: [std::collections::hash_map::RandomState; 2],
@@ -313,7 +315,7 @@ impl ServerState {
             warm_placements: AtomicU64::new(0),
             warm_tasks_replayed: AtomicU64::new(0),
             threads_per_job,
-            key_memo: std::sync::Mutex::new(std::collections::HashMap::new()),
+            key_memo: ResultCache::new(KEY_MEMO_CAP),
             digest_keys: Default::default(),
             body_memo_hits: AtomicU64::new(0),
             started: Instant::now(),
@@ -329,38 +331,14 @@ impl ServerState {
         }
     }
 
-    /// Locks the key memo, recovering from poisoning: the map is consistent
-    /// after any single `HashMap` call, and losing a memo entry at worst
-    /// re-hashes one submission — never worth failing requests for.
-    fn lock_key_memo(
-        &self,
-    ) -> std::sync::MutexGuard<'_, std::collections::HashMap<MemoIdentity, KeyMemo>> {
-        self.key_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The memoized `(content key, display name)` of an identity.
-    fn memo_get(&self, identity: MemoIdentity) -> Option<(u64, String, String)> {
-        self.lock_key_memo()
-            .get(&identity)
-            .map(|known| (known.key, known.hex.clone(), known.assay.clone()))
-    }
-
-    /// Memoizes an identity's content key, clearing the memo at its cap.
+    /// Memoizes an identity's content key and display name.
     fn memoize(&self, identity: MemoIdentity, key: u64, hex: &str, assay: &str) {
-        let mut memo = self.lock_key_memo();
-        if memo.len() >= KEY_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(
-            identity,
-            KeyMemo {
-                key,
-                hex: hex.to_owned(),
-                assay: assay.to_owned(),
-            },
-        );
+        let known = KeyMemo {
+            key,
+            hex: hex.to_owned(),
+            assay: assay.to_owned(),
+        };
+        self.key_memo.insert(&identity, Arc::new(known));
     }
 
     /// A 128-bit digest of a request body under this process's keys.
@@ -382,8 +360,8 @@ impl ServerState {
         Some(result)
     }
 
-    /// Locks the per-client in-flight map (same poison-recovery rationale
-    /// as the key memo: the map is consistent after any single call).
+    /// Locks the per-client in-flight map, recovering from poisoning: the
+    /// map is consistent after any single call.
     fn lock_clients(&self) -> std::sync::MutexGuard<'_, std::collections::HashMap<String, usize>> {
         self.clients
             .lock()
@@ -1085,11 +1063,11 @@ fn resolve_key(submission: Submission, state: &ServerState) -> Result<ResolvedJo
         Submission::Named { canonical, config } => {
             let config_key = biochip_json::canonical_hash(&config_identity_json(&config));
             let identity = MemoIdentity::Named(canonical, config_key);
-            if let Some((key, key_hex, assay)) = state.memo_get(identity) {
+            if let Some(known) = state.key_memo.get(&identity) {
                 return Ok(ResolvedJob {
-                    key,
-                    key_hex,
-                    assay,
+                    key: known.key,
+                    key_hex: known.hex.clone(),
+                    assay: known.assay.clone(),
                     config,
                     problem: None,
                     canonical: Some(canonical),
@@ -1195,11 +1173,12 @@ fn submit(request: &Request, shared: &Shared) -> (u16, String) {
     }
     // A byte-identical resubmission resolves from the memo without parsing.
     let digest = shared.state.body_digest(&request.body);
-    let memoized = shared.state.memo_get(MemoIdentity::Body(digest));
-    if let Some((_, key_hex, assay)) = &memoized {
-        if let Some(result) = shared.state.warm_result(key_hex) {
+    let memoized = shared.state.key_memo.get(&MemoIdentity::Body(digest));
+    if let Some(known) = &memoized {
+        if let Some(result) = shared.state.warm_result(&known.hex) {
             shared.state.body_memo_hits.fetch_add(1, Ordering::Relaxed);
-            return answer_warm(shared, key_hex.clone(), assay.clone(), result, started);
+            let (key_hex, assay) = (known.hex.clone(), known.assay.clone());
+            return answer_warm(shared, key_hex, assay, result, started);
         }
     }
     let submission = match parse_submission(&request.body) {
@@ -2065,17 +2044,10 @@ mod tests {
     }
 
     #[test]
-    fn a_poisoned_key_memo_recovers_and_keeps_memoizing() {
-        let state = Arc::new(test_state());
-        let poisoner = Arc::clone(&state);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.key_memo.lock().unwrap();
-            panic!("poison the memo mutex");
-        })
-        .join();
-        assert!(state.key_memo.lock().is_err(), "mutex should be poisoned");
-        // Resolution recovers the guard: it hashes, memoizes, and the
-        // second resolution takes the memo fast path (no rebuilt problem).
+    fn named_and_body_identities_share_the_key_memo() {
+        // The first resolution hashes and memoizes; the second takes the
+        // memo fast path (no rebuilt problem).
+        let state = test_state();
         let config = SynthesisConfig::default();
         let first = resolve_key(
             Submission::Named {
@@ -2095,18 +2067,17 @@ mod tests {
         )
         .unwrap();
         assert_eq!(second.key_hex, first.key_hex);
-        assert!(
-            second.problem.is_none(),
-            "memo fast path must hit despite the earlier poison"
-        );
-        // Body identities share the recovered memo.
+        assert!(second.problem.is_none(), "memo fast path must hit");
+        // Body identities live in the same memo.
         let body = MemoIdentity::Body(state.body_digest(br#"{"assay": "PCR"}"#));
-        assert_eq!(state.memo_get(body), None);
+        assert!(state.key_memo.get(&body).is_none());
         state.memoize(body, first.key, &first.key_hex, &first.assay);
+        let known = state.key_memo.get(&body).expect("memoized");
         assert_eq!(
-            state.memo_get(body),
-            Some((first.key, first.key_hex.clone(), first.assay.clone()))
+            (known.key, &known.hex, &known.assay),
+            (first.key, &first.key_hex, &first.assay)
         );
+        assert_eq!(state.key_memo.stats().entries, 2);
     }
 
     #[test]
@@ -2139,7 +2110,7 @@ mod tests {
             assert_eq!(first.0, 400, "{body}: {}", first.1);
             assert_eq!(post(&shared, body), first, "{body}");
         }
-        assert!(shared.state.lock_key_memo().is_empty());
+        assert_eq!(shared.state.key_memo.stats().entries, 0);
         assert_eq!(shared.state.body_memo_hits.load(Ordering::Relaxed), 0);
     }
 
@@ -2149,9 +2120,10 @@ mod tests {
         for i in 0..KEY_MEMO_CAP as u128 + 1 {
             state.memoize(MemoIdentity::Body(i), 0, "0", "a");
         }
-        assert!(state.lock_key_memo().len() <= KEY_MEMO_CAP);
+        assert!(state.key_memo.stats().entries <= KEY_MEMO_CAP);
         assert!(state
-            .memo_get(MemoIdentity::Body(KEY_MEMO_CAP as u128))
+            .key_memo
+            .get(&MemoIdentity::Body(KEY_MEMO_CAP as u128))
             .is_some());
     }
 

@@ -634,10 +634,31 @@ const SHARED_SERIES: &[(&str, &str)] = &[
         "biochip_stage_cache_misses_total{stage=\"architecture\"}",
         "stage_cache.architecture.misses",
     ),
+    (
+        "biochip_stage_cache_entries{stage=\"schedule\"}",
+        "stage_cache.schedule.entries",
+    ),
+    (
+        "biochip_stage_cache_entries{stage=\"architecture\"}",
+        "stage_cache.architecture.entries",
+    ),
+    (
+        "biochip_warm_hints_total{result=\"hit\"}",
+        "stage_cache.warm.hits",
+    ),
+    (
+        "biochip_warm_hints_total{result=\"miss\"}",
+        "stage_cache.warm.misses",
+    ),
     ("biochip_oracle_builds_total", "stage_cache.oracle.builds"),
     ("biochip_oracle_hits_total", "stage_cache.oracle.hits"),
     ("biochip_oracle_entries", "stage_cache.oracle.entries"),
     ("biochip_warm_jobs_total", "jobs_warm_started"),
+    ("biochip_warm_tasks_replayed_total", "warm_tasks_replayed"),
+    (
+        "biochip_warm_placements_reused_total",
+        "warm_placements_reused",
+    ),
     ("biochip_jobs_accepted_total", "jobs_accepted"),
     ("biochip_pool_workers", "pool.workers"),
     ("biochip_pool_queue_depth", "pool.queued"),
@@ -764,6 +785,11 @@ fn stats_and_metrics_agree_on_every_shared_series() {
     assert_eq!(value("biochip_jobs{state=\"done\"}"), 2.0);
     assert_eq!(value("biochip_store_entries"), 1.0);
     assert!(value("biochip_journal_appends_total") > 0.0);
+    assert_eq!(
+        value("biochip_stage_cache_entries{stage=\"schedule\"}"),
+        1.0
+    );
+    assert_eq!(value("biochip_warm_hints_total{result=\"miss\"}"), 1.0);
 
     handle.stop();
     join.join().unwrap();

@@ -1,34 +1,41 @@
-//! The content-addressed LRU result cache, full-key and per-stage.
+//! The one bounded map of the flow's caches, and the stage store built on it.
 //!
-//! Entries are keyed by the canonical hash of the `(problem, config)` pair
-//! (see [`biochip_json::content_key_hex`]): two submissions asking for the
-//! same synthesis — regardless of field order, formatting or which client
-//! sent them — share one entry, so a warm resubmission is a lookup instead
-//! of a multi-second pipeline run.
+//! [`ResultCache`] is a thread-safe least-recently-used map from a key to a
+//! shared value. The job service keeps its full results in one (keyed by
+//! the canonical hash of the `(problem, config)` pair, see
+//! [`biochip_json::content_key_hex`]) and its submission-key memo in
+//! another; [`StageCaches`] holds three more:
 //!
-//! [`StageCaches`] extends the same idea below the full key: it holds the
-//! intermediate **stage artifacts** (schedule, architecture) under their
-//! chained stage keys (see `biochip_synth::StageKeys`) plus the latest
-//! per-assay warm-start handoff, and implements
-//! [`StageStore`](biochip_synth::StageStore) so a job whose full key missed
-//! can resume the pipeline from the first divergent stage — or warm-start
-//! the architecture stage after a problem edit — instead of running cold.
+//! * the **schedule** stage, under the schedule stage key;
+//! * the **architecture** stage (placement + routes), under the route stage
+//!   key;
+//! * the **warm hints**, under the assay name: the latest
+//!   [`WarmHandoff`] of each assay, sharing the `Arc`s of the schedule and
+//!   architecture it was built from.
+//!
+//! `SynthesisFlow::run_problem_staged` reads and writes a [`StageCaches`]
+//! directly, so a job whose full key missed resumes the pipeline from the
+//! first divergent stage — or warm-starts the architecture stage after a
+//! problem edit — instead of running cold. The store also owns the shared
+//! routing-oracle cache ([`OracleCache`]).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use biochip_synth::arch::{Architecture, OracleCache};
-use biochip_synth::schedule::Schedule;
-use biochip_synth::{StageStore, SynthesisConfig, SynthesisOutcome, WarmHandoff};
+use biochip_arch::{Architecture, OracleCache};
+use biochip_schedule::Schedule;
 
-/// Counters the cache exposes through `GET /stats`.
+use crate::stages::WarmHandoff;
+
+/// Counters one [`ResultCache`] exposes through `GET /stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
     pub hits: usize,
-    /// Lookups that missed (and went on to synthesize).
+    /// Lookups that missed.
     pub misses: usize,
     /// Entries currently held.
     pub entries: usize,
@@ -38,25 +45,27 @@ pub struct CacheStats {
     pub evictions: usize,
 }
 
-struct Inner<V> {
+struct Inner<K, V> {
     /// key → (last-use tick, value). The tick is a monotonically increasing
-    /// counter; eviction removes the minimum. With service-sized capacities
-    /// (tens to hundreds) the O(n) eviction scan is noise next to the
-    /// synthesis runs the cache is saving.
-    entries: HashMap<String, (u64, Arc<V>)>,
+    /// counter; eviction removes the minimum, and since no two entries share
+    /// a tick the victim does not depend on the map's iteration order.
+    /// With service-sized capacities
+    /// (tens to about a thousand) the O(n) eviction scan is noise next to
+    /// the work the cache is saving.
+    entries: HashMap<K, (u64, Arc<V>)>,
     tick: u64,
     hits: usize,
     misses: usize,
     evictions: usize,
 }
 
-/// A thread-safe least-recently-used cache from content key to result.
-pub struct ResultCache<V> {
-    inner: Mutex<Inner<V>>,
+/// A thread-safe least-recently-used cache from key to shared value.
+pub struct ResultCache<K, V> {
+    inner: Mutex<Inner<K, V>>,
     capacity: usize,
 }
 
-impl<V> std::fmt::Debug for ResultCache<V> {
+impl<K, V> std::fmt::Debug for ResultCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultCache")
             .field("capacity", &self.capacity)
@@ -64,7 +73,7 @@ impl<V> std::fmt::Debug for ResultCache<V> {
     }
 }
 
-impl<V> ResultCache<V> {
+impl<K: Eq + Hash + Clone, V> ResultCache<K, V> {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -80,7 +89,7 @@ impl<V> ResultCache<V> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<V>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V>> {
         // No user code runs under this lock, so poisoning is next to
         // impossible — but recover anyway: the map of a poisoned cache is
         // still consistent (every mutation is a single HashMap call), and a
@@ -92,7 +101,31 @@ impl<V> ResultCache<V> {
 
     /// Looks up `key`, refreshing its recency and counting a hit or miss.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<Arc<V>> {
+    pub fn get<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.lookup(key, true)
+    }
+
+    /// Like [`ResultCache::get`], but an absent key counts nothing: used for
+    /// the worker-side recheck of a key whose submission-time lookup already
+    /// recorded the miss — one logical lookup, one counted miss.
+    #[must_use]
+    pub fn peek<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.lookup(key, false)
+    }
+
+    fn lookup<Q>(&self, key: &Q, count_miss: bool) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -104,30 +137,19 @@ impl<V> ResultCache<V> {
                 Some(value)
             }
             None => {
-                inner.misses += 1;
+                inner.misses += usize::from(count_miss);
                 None
             }
         }
     }
 
-    /// Like [`ResultCache::get`], but an absent key counts nothing: used for
-    /// the worker-side recheck of a key whose submission-time lookup already
-    /// recorded the miss — one logical lookup, one counted miss.
-    #[must_use]
-    pub fn peek(&self, key: &str) -> Option<Arc<V>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (last_used, value) = inner.entries.get_mut(key)?;
-        *last_used = tick;
-        let value = Arc::clone(value);
-        inner.hits += 1;
-        Some(value)
-    }
-
     /// Inserts (or refreshes) `key`, evicting the least recently used entry
     /// when the cache is full.
-    pub fn insert(&self, key: &str, value: Arc<V>) {
+    pub fn insert<Q>(&self, key: &Q, value: Arc<V>)
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ToOwned<Owned = K> + ?Sized,
+    {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -139,7 +161,7 @@ impl<V> ResultCache<V> {
                 .min_by_key(|(_, (last_used, _))| *last_used)
                 .map(|(k, _)| k.clone())
             {
-                inner.entries.remove(&oldest);
+                inner.entries.remove::<K>(&oldest);
                 inner.evictions += 1;
             }
         }
@@ -160,17 +182,6 @@ impl<V> ResultCache<V> {
     }
 }
 
-/// Counters of the warm-start handoff slots, exposed through `GET /stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct WarmStats {
-    /// Hint lookups that found a handoff for the assay.
-    pub hits: usize,
-    /// Hint lookups that found nothing (first sight of the assay).
-    pub misses: usize,
-    /// Assays currently holding a handoff.
-    pub entries: usize,
-}
-
 /// Routing-oracle cache counters, the `oracle` block of the stage stats.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct OracleStats {
@@ -189,32 +200,25 @@ pub struct StageCachesStats {
     pub schedule: CacheStats,
     /// Architecture-stage artifact cache (keyed by route stage key).
     pub architecture: CacheStats,
-    /// Warm-start handoff slots (keyed by assay name).
-    pub warm: WarmStats,
+    /// Warm-start hints (keyed by assay name).
+    pub warm: CacheStats,
     /// Shared routing-oracle cache (keyed by placement stage key + device
     /// placement).
     pub oracle: OracleStats,
 }
 
-/// The job service's per-stage artifact store: schedule and architecture
-/// LRU caches under their chained stage keys, plus the latest warm-start
-/// handoff per assay. Implements [`StageStore`], so
-/// `SynthesisFlow::run_problem_staged` reads and writes it directly.
+/// The per-stage artifact store of the staged flow: schedule and
+/// architecture LRU caches under their chained stage keys, an LRU of the
+/// latest warm-start hint per assay, and the shared routing oracles.
 pub struct StageCaches {
-    schedule: ResultCache<Schedule>,
-    architecture: ResultCache<Architecture>,
-    /// assay name → latest handoff. Bounded like the name-key memo: the
-    /// distinct assays a service sees are few, the cap only guards against
-    /// a client sweeping generated names.
-    warm: Mutex<HashMap<String, Arc<WarmHandoff>>>,
-    warm_capacity: usize,
-    warm_hits: AtomicUsize,
-    warm_misses: AtomicUsize,
-    /// Routing oracles shared across every job on this service: jobs that
+    pub(crate) schedule: ResultCache<String, Schedule>,
+    pub(crate) architecture: ResultCache<String, Architecture>,
+    pub(crate) warm: ResultCache<String, WarmHandoff>,
+    /// Routing oracles shared across every run on this store: runs that
     /// resolve to the same placement (same placement stage key, grid and
-    /// device assignment) reuse one build, including concurrent jobs racing
+    /// device assignment) reuse one build, including concurrent runs racing
     /// on the same architecture.
-    oracles: Arc<OracleCache>,
+    pub(crate) oracles: Arc<OracleCache>,
 }
 
 impl std::fmt::Debug for StageCaches {
@@ -222,32 +226,22 @@ impl std::fmt::Debug for StageCaches {
         f.debug_struct("StageCaches")
             .field("schedule", &self.schedule)
             .field("architecture", &self.architecture)
+            .field("warm", &self.warm)
             .finish_non_exhaustive()
     }
 }
 
 impl StageCaches {
-    /// Creates the staged caches, each stage holding at most `capacity`
-    /// entries (minimum 1).
+    /// Creates the staged caches, each stage and the warm hints holding at
+    /// most `capacity` entries (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         StageCaches {
             schedule: ResultCache::new(capacity),
             architecture: ResultCache::new(capacity),
-            warm: Mutex::new(HashMap::new()),
-            warm_capacity: capacity.max(1),
-            warm_hits: AtomicUsize::new(0),
-            warm_misses: AtomicUsize::new(0),
+            warm: ResultCache::new(capacity),
             oracles: Arc::new(OracleCache::default()),
         }
-    }
-
-    fn lock_warm(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<WarmHandoff>>> {
-        // Same poisoning stance as ResultCache::lock: recover, never
-        // propagate — a HashMap is consistent after any single call.
-        self.warm
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Snapshot of all per-stage counters.
@@ -256,11 +250,7 @@ impl StageCaches {
         StageCachesStats {
             schedule: self.schedule.stats(),
             architecture: self.architecture.stats(),
-            warm: WarmStats {
-                hits: self.warm_hits.load(Ordering::Relaxed),
-                misses: self.warm_misses.load(Ordering::Relaxed),
-                entries: self.lock_warm().len(),
-            },
+            warm: self.warm.stats(),
             oracle: OracleStats {
                 builds: self.oracles.builds() as usize,
                 hits: self.oracles.hits() as usize,
@@ -270,53 +260,16 @@ impl StageCaches {
     }
 }
 
-impl StageStore for StageCaches {
-    fn get_schedule(&self, key: &str) -> Option<Arc<Schedule>> {
-        self.schedule.get(key)
-    }
-
-    fn put_schedule(&self, key: &str, schedule: &Arc<Schedule>) {
-        self.schedule.insert(key, Arc::clone(schedule));
-    }
-
-    fn get_architecture(&self, key: &str) -> Option<Arc<Architecture>> {
-        self.architecture.get(key)
-    }
-
-    fn put_architecture(&self, key: &str, architecture: &Arc<Architecture>) {
-        self.architecture.insert(key, Arc::clone(architecture));
-    }
-
-    fn warm_hint(&self, assay: &str) -> Option<Arc<WarmHandoff>> {
-        let hint = self.lock_warm().get(assay).cloned();
-        match &hint {
-            Some(_) => self.warm_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.warm_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hint
-    }
-
-    fn put_warm(&self, assay: &str, outcome: &SynthesisOutcome, config: &SynthesisConfig) {
-        let handoff = Arc::new(WarmHandoff::from_outcome(outcome, config));
-        let mut warm = self.lock_warm();
-        if !warm.contains_key(assay) && warm.len() >= self.warm_capacity {
-            warm.clear();
-        }
-        warm.insert(assay.to_owned(), handoff);
-    }
-
-    fn oracle_cache(&self) -> Option<Arc<OracleCache>> {
-        Some(Arc::clone(&self.oracles))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{SchedulerChoice, SynthesisConfig, SynthesisFlow};
+    use crate::FlowController;
+    use biochip_assay::library;
 
     #[test]
     fn hit_and_miss_counters_track_lookups() {
-        let cache: ResultCache<u32> = ResultCache::new(4);
+        let cache: ResultCache<String, u32> = ResultCache::new(4);
         assert!(cache.get("a").is_none());
         cache.insert("a", Arc::new(1));
         assert_eq!(cache.get("a").as_deref(), Some(&1));
@@ -326,7 +279,7 @@ mod tests {
 
     #[test]
     fn least_recently_used_entry_is_evicted_first() {
-        let cache: ResultCache<u32> = ResultCache::new(2);
+        let cache: ResultCache<String, u32> = ResultCache::new(2);
         cache.insert("a", Arc::new(1));
         cache.insert("b", Arc::new(2));
         // Touch "a" so "b" is the LRU entry when "c" arrives.
@@ -341,7 +294,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_key_does_not_evict() {
-        let cache: ResultCache<u32> = ResultCache::new(2);
+        let cache: ResultCache<String, u32> = ResultCache::new(2);
         cache.insert("a", Arc::new(1));
         cache.insert("b", Arc::new(2));
         cache.insert("a", Arc::new(10));
@@ -352,21 +305,32 @@ mod tests {
 
     #[test]
     fn capacity_has_a_floor_of_one() {
-        let cache: ResultCache<u32> = ResultCache::new(0);
+        let cache: ResultCache<String, u32> = ResultCache::new(0);
         cache.insert("a", Arc::new(1));
         assert!(cache.get("a").is_some());
         assert_eq!(cache.stats().capacity, 1);
     }
 
     #[test]
+    fn non_string_keys_are_supported() {
+        let cache: ResultCache<(u8, u64), u32> = ResultCache::new(1);
+        cache.insert(&(1, 7), Arc::new(1));
+        cache.insert(&(2, 7), Arc::new(2));
+        assert!(cache.peek(&(1, 7)).is_none());
+        assert_eq!(cache.get(&(2, 7)).as_deref(), Some(&2));
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
     fn stage_caches_round_trip_and_count_per_stage() {
         let stages = StageCaches::new(4);
-        assert!(stages.get_schedule("s1").is_none());
-        let schedule = Arc::new(Schedule::with_capacity(0));
-        stages.put_schedule("s1", &schedule);
-        assert!(stages.get_schedule("s1").is_some());
-        assert!(stages.get_architecture("r1").is_none());
-        assert!(stages.warm_hint("PCR").is_none());
+        assert!(stages.schedule.get("s1").is_none());
+        stages
+            .schedule
+            .insert("s1", Arc::new(Schedule::with_capacity(0)));
+        assert!(stages.schedule.get("s1").is_some());
+        assert!(stages.architecture.get("r1").is_none());
+        assert!(stages.warm.get("PCR").is_none());
         let stats = stages.stats();
         assert_eq!((stats.schedule.hits, stats.schedule.misses), (1, 1));
         assert_eq!((stats.architecture.hits, stats.architecture.misses), (0, 1));
@@ -381,8 +345,31 @@ mod tests {
     }
 
     #[test]
+    fn warm_hints_are_evicted_least_recently_used() {
+        // One real handoff, filed under three assay names.
+        let flow = SynthesisFlow::new(
+            SynthesisConfig::default().with_scheduler(SchedulerChoice::StorageAware),
+        );
+        let primer = StageCaches::new(1);
+        let problem = flow.problem_for(library::pcr());
+        flow.run_problem_staged(problem, &FlowController::new(), &primer)
+            .unwrap();
+        let handoff = primer.warm.peek("PCR").expect("a staged run leaves a hint");
+
+        let stages = StageCaches::new(2);
+        stages.warm.insert("A", Arc::clone(&handoff));
+        stages.warm.insert("B", Arc::clone(&handoff));
+        assert!(stages.warm.get("A").is_some());
+        stages.warm.insert("C", handoff);
+        assert!(stages.warm.get("A").is_some(), "A was used after B");
+        assert!(stages.warm.get("B").is_none(), "B was least recently used");
+        assert!(stages.warm.get("C").is_some());
+        assert_eq!(stages.stats().warm.evictions, 1);
+    }
+
+    #[test]
     fn a_poisoned_cache_mutex_recovers_instead_of_cascading() {
-        let cache: Arc<ResultCache<u32>> = Arc::new(ResultCache::new(4));
+        let cache: Arc<ResultCache<String, u32>> = Arc::new(ResultCache::new(4));
         cache.insert("a", Arc::new(1));
         let poisoner = Arc::clone(&cache);
         let _ = std::thread::spawn(move || {

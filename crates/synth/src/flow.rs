@@ -19,8 +19,9 @@ use biochip_schedule::{
 };
 use biochip_sim::{replay, simulate_dedicated_storage, DedicatedExecutionReport, ExecutionReport};
 
+use crate::cache::StageCaches;
 use crate::report::SynthesisReport;
-use crate::stages::{NoStageStore, ReuseKind, StageKeys, StageReuse, StageStore};
+use crate::stages::{ReuseKind, StageKeys, StageReuse, WarmHandoff};
 
 /// Which scheduling engine the flow uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -506,16 +507,18 @@ impl SynthesisFlow {
         problem: ScheduleProblem,
         controller: &FlowController,
     ) -> Result<SynthesisOutcome, FlowError> {
-        self.run_problem_staged(problem, controller, &NoStageStore)
-            .map(|(outcome, _)| outcome)
+        let result = self.run_stages(problem, controller, None);
+        controller.mark(FlowStage::Done);
+        result.map(|(outcome, _)| outcome)
     }
 
-    /// Like [`SynthesisFlow::run_problem_with`], but with a [`StageStore`]
-    /// that may satisfy whole stages from cached artifacts (exact stage-key
-    /// hits) or shortcut the architecture stage with a warm-start hint
-    /// (prior placement adopted, unchanged route prefix replayed). The
-    /// returned [`StageReuse`] is the receipt: which stage was served how,
-    /// under which keys.
+    /// Like [`SynthesisFlow::run_problem_with`], but against a
+    /// [`StageCaches`] store that may satisfy whole stages from cached
+    /// artifacts (exact stage-key hits) or shortcut the architecture stage
+    /// with a warm-start hint (prior placement adopted, unchanged route
+    /// prefix replayed). The run leaves its own artifacts and its warm hint
+    /// in the store. The returned [`StageReuse`] is the receipt: which stage
+    /// was served how.
     ///
     /// Reuse never changes the synthesized result — a staged run's
     /// [`SynthesisOutcome::output_key`] is byte-identical to the cold
@@ -529,27 +532,33 @@ impl SynthesisFlow {
         &self,
         problem: ScheduleProblem,
         controller: &FlowController,
-        store: &dyn StageStore,
+        store: &StageCaches,
     ) -> Result<(SynthesisOutcome, StageReuse), FlowError> {
-        let result = self.run_stages(problem, controller, store);
+        let result = self.run_stages(problem, controller, Some(store));
         controller.mark(FlowStage::Done);
         result
     }
 
+    /// The pipeline, against `store` when there is one. Without a store no
+    /// stage key is derived and the routing oracles are run-private.
     fn run_stages(
         &self,
         problem: ScheduleProblem,
         controller: &FlowController,
-        store: &dyn StageStore,
+        store: Option<&StageCaches>,
     ) -> Result<(SynthesisOutcome, StageReuse), FlowError> {
         // biochip-lint: allow(D2, "stage wall times live in FlowTiming, excluded from output_key; without_timings is the byte-comparison form")
         let run_start = Instant::now();
-        let mut reuse = StageReuse::new(StageKeys::derive(&self.config, &problem));
+        let staged = store.map(|store| (store, StageKeys::derive(&self.config, &problem)));
+        let mut reuse = StageReuse::default();
 
         controller.enter(FlowStage::Scheduling)?;
         // biochip-lint: allow(D2, "stage wall times live in FlowTiming, excluded from output_key; without_timings is the byte-comparison form")
         let schedule_start = Instant::now();
-        let schedule = match store.get_schedule(&reuse.keys.schedule) {
+        let cached = staged
+            .as_ref()
+            .and_then(|(store, keys)| store.schedule.get(&keys.schedule));
+        let schedule = match cached {
             Some(cached) => {
                 reuse.schedule = ReuseKind::Hit;
                 cached
@@ -559,7 +568,9 @@ impl SynthesisFlow {
                     let _span = telemetry::span("pipeline", "schedule");
                     Arc::new(self.schedule(&problem)?)
                 };
-                store.put_schedule(&reuse.keys.schedule, &computed);
+                if let Some((store, keys)) = &staged {
+                    store.schedule.insert(&keys.schedule, Arc::clone(&computed));
+                }
                 computed
             }
         };
@@ -568,7 +579,10 @@ impl SynthesisFlow {
         controller.enter(FlowStage::Architecture)?;
         // biochip-lint: allow(D2, "stage wall times live in FlowTiming, excluded from output_key; without_timings is the byte-comparison form")
         let arch_start = Instant::now();
-        let architecture = match store.get_architecture(&reuse.keys.route) {
+        let cached = staged
+            .as_ref()
+            .and_then(|(store, keys)| store.architecture.get(&keys.route));
+        let architecture = match cached {
             Some(cached) => {
                 reuse.architecture = ReuseKind::Hit;
                 cached
@@ -577,19 +591,20 @@ impl SynthesisFlow {
                 // The "place" and "route" spans are recorded inside the
                 // synthesizer, once per grid attempt.
                 let mut synthesizer = ArchitectureSynthesizer::new(self.config.synthesis.clone())
-                    .with_parallelism(self.config.parallelism)
-                    .with_oracle_scope(reuse.keys.placement.clone());
-                if let Some(oracles) = store.oracle_cache() {
-                    synthesizer = synthesizer.with_oracle_cache(oracles);
-                }
-                if let Some(hint) = store.warm_hint(problem.graph().name()) {
-                    if let Some(warm) = WarmStart::from_prior(
-                        &hint.problem,
-                        &hint.schedule,
-                        &hint.architecture,
-                        &hint.synthesis,
-                    ) {
-                        synthesizer = synthesizer.with_warm_start(warm);
+                    .with_parallelism(self.config.parallelism);
+                if let Some((store, keys)) = &staged {
+                    synthesizer = synthesizer
+                        .with_oracle_cache(Arc::clone(&store.oracles))
+                        .with_oracle_scope(keys.placement.clone());
+                    if let Some(hint) = store.warm.get(problem.graph().name()) {
+                        if let Some(warm) = WarmStart::from_prior(
+                            &hint.problem,
+                            &hint.schedule,
+                            &hint.architecture,
+                            &hint.synthesis,
+                        ) {
+                            synthesizer = synthesizer.with_warm_start(warm);
+                        }
                     }
                 }
                 let (architecture, warm) =
@@ -601,7 +616,11 @@ impl SynthesisFlow {
                 reuse.tasks_replayed = warm.tasks_replayed;
                 reuse.tasks_total = warm.tasks_total;
                 let architecture = Arc::new(architecture);
-                store.put_architecture(&reuse.keys.route, &architecture);
+                if let Some((store, keys)) = &staged {
+                    store
+                        .architecture
+                        .insert(&keys.route, Arc::clone(&architecture));
+                }
                 architecture
             }
         };
@@ -653,6 +672,15 @@ impl SynthesisFlow {
             ],
         );
 
+        if let Some((store, _)) = &staged {
+            let handoff = WarmHandoff {
+                problem: problem.clone(),
+                schedule: Arc::clone(&schedule),
+                architecture: Arc::clone(&architecture),
+                synthesis: self.config.synthesis.clone(),
+            };
+            store.warm.insert(problem.graph().name(), Arc::new(handoff));
+        }
         let outcome = SynthesisOutcome {
             schedule: Arc::try_unwrap(schedule).unwrap_or_else(|arc| (*arc).clone()),
             architecture: Arc::try_unwrap(architecture).unwrap_or_else(|arc| (*arc).clone()),
@@ -662,7 +690,6 @@ impl SynthesisFlow {
             dedicated_baseline,
             report,
         };
-        store.put_warm(outcome.problem.graph().name(), &outcome, &self.config);
         Ok((outcome, reuse))
     }
 }

@@ -15,6 +15,11 @@
 //! and re-exports the sub-crate APIs so that downstream users only need one
 //! dependency.
 //!
+//! Across runs the flow reuses work through one bounded store,
+//! [`StageCaches`]: the schedule and architecture of earlier runs under
+//! their chained stage keys ([`StageKeys`]) and the latest warm-start hint
+//! per assay ([`WarmHandoff`]), each an LRU [`ResultCache`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -31,19 +36,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cache;
 mod flow;
 mod report;
 mod stages;
 mod state;
 
+pub use cache::{CacheStats, OracleStats, ResultCache, StageCaches, StageCachesStats};
 pub use flow::{
     FlowController, FlowError, FlowStage, SchedulerChoice, StageTiming, SynthesisConfig,
     SynthesisFlow, SynthesisOutcome,
 };
 pub use report::SynthesisReport;
-pub use stages::{
-    MemoryStageStore, NoStageStore, ReuseKind, StageKeys, StageReuse, StageStore, WarmHandoff,
-};
+pub use stages::{ReuseKind, StageKeys, StageReuse, WarmHandoff};
 pub use state::{PipelineState, StageTimings};
 
 /// Re-export of the architectural-synthesis crate.

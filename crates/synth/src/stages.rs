@@ -1,14 +1,14 @@
 //! Staged content keys and per-stage artifact reuse for the edit loop.
 //!
-//! The job service's original cache (PR 4) keys the **whole** pipeline by
-//! one canonical hash of the `(problem, config)` pair, so any edit pays the
-//! full cold run. This module splits that identity into chained per-stage
+//! A full content key covers the whole `(problem, config)` pair, so any
+//! edit misses it. This module splits that identity into chained per-stage
 //! keys — problem → schedule → placement → route → full — each derived by
 //! folding the stage-relevant slice of the configuration onto the key of
 //! the stage before it ([`biochip_json::chain_key`]). An edit that only
-//! touches a downstream slice leaves every upstream key intact, so a cache
-//! provided through [`StageStore`] lets the flow resume from the first
-//! divergent stage instead of from the top.
+//! touches a downstream slice leaves every upstream key intact, so a run
+//! against a [`StageCaches`](crate::StageCaches) store resumes from the
+//! first divergent stage instead of from the top. A run without a store
+//! derives no keys at all.
 //!
 //! Exact stage keys cover config edits. Problem edits (the "one operation
 //! tweaked" resubmission of the ROADMAP's edit loop) change every chained
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use biochip_arch::{Architecture, OracleCache, SynthesisOptions};
+use biochip_arch::{Architecture, SynthesisOptions};
 use biochip_schedule::{Schedule, ScheduleProblem};
 
 use crate::flow::{SynthesisConfig, SynthesisOutcome};
@@ -133,10 +133,8 @@ impl ReuseKind {
 /// What one staged run reused, stage by stage — the flow's receipt for the
 /// edit loop, surfaced through `GET /stats`, `/metrics` and
 /// `BENCH_editloop.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StageReuse {
-    /// The stage-key chain of this run.
-    pub keys: StageKeys,
     /// How the schedule stage was satisfied.
     pub schedule: ReuseKind,
     /// How the architecture (placement + route) stage was satisfied.
@@ -151,153 +149,21 @@ pub struct StageReuse {
     pub seconds: f64,
 }
 
-impl StageReuse {
-    pub(crate) fn new(keys: StageKeys) -> Self {
-        StageReuse {
-            keys,
-            schedule: ReuseKind::Miss,
-            architecture: ReuseKind::Miss,
-            placement_reused: false,
-            tasks_replayed: 0,
-            tasks_total: 0,
-            seconds: 0.0,
-        }
-    }
-}
-
 /// A prior run packaged as the warm-start seed for the next edit of the
 /// same assay: everything [`biochip_arch::WarmStart::from_prior`] needs.
+/// The schedule and architecture are the run's own `Arc`s — the ones the
+/// stage caches hold — so a hint copies neither.
 #[derive(Debug, Clone)]
 pub struct WarmHandoff {
     /// The prior scheduling problem.
     pub problem: ScheduleProblem,
     /// The prior schedule.
-    pub schedule: Schedule,
+    pub schedule: Arc<Schedule>,
     /// The prior synthesized architecture.
-    pub architecture: Architecture,
+    pub architecture: Arc<Architecture>,
     /// The synthesis options the prior run used (needed to reconstruct the
     /// routing options of its winning grid attempt).
     pub synthesis: SynthesisOptions,
-}
-
-impl WarmHandoff {
-    /// Packages a finished outcome as the warm seed for later edits.
-    #[must_use]
-    pub fn from_outcome(outcome: &SynthesisOutcome, config: &SynthesisConfig) -> Self {
-        WarmHandoff {
-            problem: outcome.problem.clone(),
-            schedule: outcome.schedule.clone(),
-            architecture: outcome.architecture.clone(),
-            synthesis: config.synthesis.clone(),
-        }
-    }
-}
-
-/// Stage-artifact storage the staged flow reads and writes.
-///
-/// Every method has a no-op default, so implementors opt into exactly the
-/// stages they can hold ([`NoStageStore`] opts into none — the cold path).
-/// Keys are the hex stage keys of [`StageKeys`]; implementations must
-/// return an artifact only for the exact key it was stored under.
-pub trait StageStore {
-    /// Looks up a cached schedule by schedule-stage key.
-    fn get_schedule(&self, key: &str) -> Option<Arc<Schedule>> {
-        let _ = key;
-        None
-    }
-
-    /// Offers a freshly computed schedule for caching.
-    fn put_schedule(&self, key: &str, schedule: &Arc<Schedule>) {
-        let _ = (key, schedule);
-    }
-
-    /// Looks up a cached architecture by route-stage key.
-    fn get_architecture(&self, key: &str) -> Option<Arc<Architecture>> {
-        let _ = key;
-        None
-    }
-
-    /// Offers a freshly synthesized architecture for caching.
-    fn put_architecture(&self, key: &str, architecture: &Arc<Architecture>) {
-        let _ = (key, architecture);
-    }
-
-    /// The most recent handoff for `assay`, if any — the warm seed used
-    /// when the exact stage keys miss (problem edits).
-    fn warm_hint(&self, assay: &str) -> Option<Arc<WarmHandoff>> {
-        let _ = assay;
-        None
-    }
-
-    /// Offers a finished run as the assay's next warm seed.
-    fn put_warm(&self, assay: &str, outcome: &SynthesisOutcome, config: &SynthesisConfig) {
-        let _ = (assay, outcome, config);
-    }
-
-    /// A shared [`OracleCache`] for the routing oracles built during
-    /// synthesis, so jobs over the same placement reuse one build. `None`
-    /// (the default) gives every run its own private per-run cache.
-    fn oracle_cache(&self) -> Option<Arc<OracleCache>> {
-        None
-    }
-}
-
-/// The cold store: caches nothing, hints nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoStageStore;
-
-impl StageStore for NoStageStore {}
-
-/// An in-memory [`StageStore`] for tests, benches and the CLI edit loop:
-/// unbounded maps plus a latest-handoff slot per assay.
-#[derive(Debug, Default)]
-pub struct MemoryStageStore {
-    schedules: std::sync::Mutex<std::collections::HashMap<String, Arc<Schedule>>>,
-    architectures: std::sync::Mutex<std::collections::HashMap<String, Arc<Architecture>>>,
-    warm: std::sync::Mutex<std::collections::HashMap<String, Arc<WarmHandoff>>>,
-}
-
-impl MemoryStageStore {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        MemoryStageStore::default()
-    }
-
-    fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        mutex
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl StageStore for MemoryStageStore {
-    fn get_schedule(&self, key: &str) -> Option<Arc<Schedule>> {
-        Self::lock(&self.schedules).get(key).cloned()
-    }
-
-    fn put_schedule(&self, key: &str, schedule: &Arc<Schedule>) {
-        Self::lock(&self.schedules).insert(key.to_owned(), Arc::clone(schedule));
-    }
-
-    fn get_architecture(&self, key: &str) -> Option<Arc<Architecture>> {
-        Self::lock(&self.architectures).get(key).cloned()
-    }
-
-    fn put_architecture(&self, key: &str, architecture: &Arc<Architecture>) {
-        Self::lock(&self.architectures).insert(key.to_owned(), Arc::clone(architecture));
-    }
-
-    fn warm_hint(&self, assay: &str) -> Option<Arc<WarmHandoff>> {
-        Self::lock(&self.warm).get(assay).cloned()
-    }
-
-    fn put_warm(&self, assay: &str, outcome: &SynthesisOutcome, config: &SynthesisConfig) {
-        Self::lock(&self.warm).insert(
-            assay.to_owned(),
-            Arc::new(WarmHandoff::from_outcome(outcome, config)),
-        );
-    }
 }
 
 /// The content identity of a finished run: the canonical hash of the
@@ -373,17 +239,6 @@ mod tests {
         assert_ne!(keys.problem, base.problem);
         assert_ne!(keys.schedule, base.schedule);
         assert_ne!(keys.full, base.full);
-    }
-
-    #[test]
-    fn memory_store_round_trips_artifacts() {
-        let store = MemoryStageStore::new();
-        assert!(store.get_schedule("k").is_none());
-        let schedule = Arc::new(Schedule::with_capacity(0));
-        store.put_schedule("k", &schedule);
-        assert_eq!(store.get_schedule("k").as_deref(), Some(schedule.as_ref()));
-        assert!(store.get_schedule("other").is_none());
-        assert!(store.warm_hint("PCR").is_none());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! A staged store (cached schedules/architectures, warm placement + route
 //! replay) must never change a result — only how fast it is found. For a
 //! seeded pool of edit scenarios, each case synthesizes a base input to
-//! prime a [`MemoryStageStore`], applies one edit, and runs the edited
-//! input both cold (empty store) and warm (primed store): the two
-//! `output_key`s — the canonical hash of the timing- and effort-stripped
-//! report, the schedule and the replay — must match byte for byte.
+//! prime a [`StageCaches`] store — the one `biochip serve` runs, at its
+//! default capacity, so the shared routing-oracle cache is covered too —
+//! applies one edit, and runs the edited input both cold (no store) and
+//! warm (primed store): the two `output_key`s — the canonical hash of the
+//! timing- and effort-stripped report, the schedule and the replay — must
+//! match byte for byte.
 //!
 //! The edit pool cycles the four localization classes:
 //!
@@ -22,9 +24,12 @@
 use biochip_synth::assay::random::{self, RandomAssayConfig};
 use biochip_synth::assay::SequencingGraph;
 use biochip_synth::{
-    FlowController, MemoryStageStore, NoStageStore, ReuseKind, SchedulerChoice, StageKeys,
-    StageReuse, SynthesisConfig, SynthesisFlow, SynthesisOutcome,
+    FlowController, ReuseKind, SchedulerChoice, StageCaches, StageKeys, StageReuse,
+    SynthesisConfig, SynthesisFlow, SynthesisOutcome,
 };
+
+/// `biochip serve`'s default `--cache-capacity`.
+const STORE_CAPACITY: usize = 64;
 
 /// Assay sizes of the edit pool (mirrors the parallel-determinism suite:
 /// fast in debug CI, varied enough to cover direct, store and fetch
@@ -97,10 +102,16 @@ fn edited_input(
     (kind, config, graph)
 }
 
+fn run_cold(config: &SynthesisConfig, graph: SequencingGraph) -> SynthesisOutcome {
+    SynthesisFlow::new(config.clone())
+        .run(graph)
+        .expect("seeded case synthesizes")
+}
+
 fn run_staged(
     config: &SynthesisConfig,
     graph: SequencingGraph,
-    store: &dyn biochip_synth::StageStore,
+    store: &StageCaches,
 ) -> (SynthesisOutcome, StageReuse) {
     let flow = SynthesisFlow::new(config.clone());
     let problem = flow.problem_for(graph);
@@ -113,11 +124,11 @@ fn warm_output_keys_match_cold_across_24_seeded_edit_scenarios() {
     for case in 0..24u64 {
         let (assay, base_config) = case_config(case);
         let base_graph = random::generate(&assay);
-        let store = MemoryStageStore::new();
+        let store = StageCaches::new(STORE_CAPACITY);
         let (base_outcome, _) = run_staged(&base_config, base_graph.clone(), &store);
         let (kind, config, graph) = edited_input(case, &base_config, &base_graph);
 
-        let (cold, _) = run_staged(&config, graph.clone(), &NoStageStore);
+        let cold = run_cold(&config, graph.clone());
         let (warm, reuse) = run_staged(&config, graph, &store);
         assert_eq!(
             warm.output_key(),
@@ -201,7 +212,7 @@ fn edits_invalidate_exactly_the_stage_keys_they_touch() {
 fn resubmitting_the_identical_input_replays_everything() {
     let (assay, config) = case_config(3);
     let graph = random::generate(&assay);
-    let store = MemoryStageStore::new();
+    let store = StageCaches::new(STORE_CAPACITY);
     let (first, first_reuse) = run_staged(&config, graph.clone(), &store);
     assert_eq!(first_reuse.schedule, ReuseKind::Miss);
     let (second, reuse) = run_staged(&config, graph, &store);
