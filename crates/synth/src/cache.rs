@@ -48,10 +48,9 @@ pub struct CacheStats {
 struct Inner<K, V> {
     /// key → (last-use tick, value). The tick is a monotonically increasing
     /// counter; eviction removes the minimum, and since no two entries share
-    /// a tick the victim does not depend on the map's iteration order.
-    /// With service-sized capacities
-    /// (tens to about a thousand) the O(n) eviction scan is noise next to
-    /// the work the cache is saving.
+    /// a tick the victim does not depend on the map's iteration order. With
+    /// service-sized capacities (tens to about a thousand) the O(n) eviction
+    /// scan is noise next to the work the cache is saving.
     entries: HashMap<K, (u64, Arc<V>)>,
     tick: u64,
     hits: usize,
@@ -309,16 +308,6 @@ mod tests {
         cache.insert("a", Arc::new(1));
         assert!(cache.get("a").is_some());
         assert_eq!(cache.stats().capacity, 1);
-    }
-
-    #[test]
-    fn non_string_keys_are_supported() {
-        let cache: ResultCache<(u8, u64), u32> = ResultCache::new(1);
-        cache.insert(&(1, 7), Arc::new(1));
-        cache.insert(&(2, 7), Arc::new(2));
-        assert!(cache.peek(&(1, 7)).is_none());
-        assert_eq!(cache.get(&(2, 7)).as_deref(), Some(&2));
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
