@@ -495,8 +495,9 @@ impl SynthesisFlow {
 
     /// Like [`SynthesisFlow::run_with`], but starting from a fully built
     /// [`ScheduleProblem`] instead of deriving one from the flow's device
-    /// counts — the entry point of the job service, which accepts problem
-    /// documents as submissions.
+    /// counts. The job service, which accepts problem documents as
+    /// submissions, runs the same pipeline through
+    /// [`SynthesisFlow::run_problem_staged`].
     ///
     /// # Errors
     ///
