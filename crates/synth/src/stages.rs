@@ -242,6 +242,22 @@ mod tests {
     }
 
     #[test]
+    fn memory_store_round_trips_artifacts() {
+        // The in-memory stage store hands back exactly what was filed, and
+        // only under the exact stage key it was filed under.
+        let store = crate::StageCaches::new(4);
+        assert!(store.schedule.get("k").is_none());
+        let schedule = Arc::new(Schedule::with_capacity(0));
+        store.schedule.insert("k", Arc::clone(&schedule));
+        let back = store.schedule.get("k").expect("the schedule was filed");
+        assert!(Arc::ptr_eq(&back, &schedule), "no copy on the way back");
+        assert_eq!(back.as_ref(), schedule.as_ref());
+        assert!(store.schedule.get("other").is_none());
+        assert!(store.architecture.get("k").is_none(), "stages do not share keys");
+        assert!(store.warm.get("PCR").is_none());
+    }
+
+    #[test]
     fn reuse_kind_names_are_stable() {
         assert_eq!(ReuseKind::Miss.name(), "miss");
         assert_eq!(ReuseKind::Hit.name(), "hit");
